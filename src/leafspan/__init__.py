@@ -6,7 +6,7 @@ approximation pipelines, an exact oracle, instance generators, the
 independent-set reduction, and JSON/DOT serialization.
 """
 
-from .branching import Branching, BranchingStats, empty_branching
+from .branching import Branching, BranchingStats
 from .errors import (
     CycleDetected,
     IllegalExpansion,
@@ -22,7 +22,6 @@ from .errors import (
 from .graph import Digraph, build_digraph, topological_order
 from .instances import (
     UndirectedGraphInstance,
-    brute_force_max_independent_set,
     gen_adversarial_family,
     gen_random_rooted_dag,
     leaves_to_independent_set,
@@ -31,7 +30,7 @@ from .instances import (
     write_dot,
     write_instance,
 )
-from .matching import brute_force_matching, max_matching
+from .matching import max_matching
 from .packing import (
     EXACT_PACKER,
     GREEDY_PACKER,
@@ -62,10 +61,7 @@ __all__ = [
     "SolveReport",
     "UndirectedGraphInstance",
     "attach",
-    "brute_force_matching",
-    "brute_force_max_independent_set",
     "build_digraph",
-    "empty_branching",
     "exact_max_leaves",
     "expansion_baseline",
     "gen_adversarial_family",

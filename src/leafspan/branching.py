@@ -1,14 +1,15 @@
 """Branchings (forests of arborescences) inside a host digraph.
 
-A branching assigns each vertex at most one parent.  A vertex of out-degree 0
-is a leaf; isolated vertices count as leaves.  The counters exposed by
-:class:`BranchingStats` are always recomputed from scratch, which doubles as a
-validator against counter drift.
+A branching assigns each vertex at most one parent; the parent array is its
+only representation, with per-vertex out-degrees kept alongside.  A vertex of
+out-degree 0 is a leaf; isolated vertices count as leaves.  The counters
+exposed by :class:`BranchingStats` are always recomputed from scratch, which
+doubles as a validator against counter drift.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -40,17 +41,13 @@ class Branching:
     in-place mutation is reserved for owners of a private copy.
     """
 
-    __slots__ = ("host", "parent", "out_degree", "arc_set")
+    __slots__ = ("host", "parent", "out_degree")
 
     def __init__(self, host: Digraph):
+        """The spanning branching of ``host`` with no arcs."""
         self.host = host
         self.parent: list[Optional[int]] = [None] * host.vertex_count
         self.out_degree: list[int] = [0] * host.vertex_count
-        self.arc_set: set[Arc] = set()
-
-    @classmethod
-    def empty(cls, host: Digraph) -> "Branching":
-        return cls(host)
 
     @classmethod
     def from_arcs(cls, host: Digraph, arcs: Iterable[Arc]) -> "Branching":
@@ -69,7 +66,6 @@ class Branching:
                 raise MalformedInput(f"vertex {v} has two parents")
             b.parent[v] = u
             b.out_degree[u] += 1
-            b.arc_set.add((u, v))
         return b
 
     @classmethod
@@ -79,15 +75,22 @@ class Branching:
             raise MalformedInput(
                 f"parent array has length {len(parents)}, expected {host.vertex_count}"
             )
-        arcs = [(p, v) for v, p in enumerate(parents) if p is not None]
-        return cls.from_arcs(host, arcs)
+        return cls.from_arcs(host, [(p, v) for v, p in enumerate(parents) if p is not None])
 
     def copy(self) -> "Branching":
         b = Branching.__new__(Branching)
         b.host = self.host
         b.parent = list(self.parent)
         b.out_degree = list(self.out_degree)
-        b.arc_set = set(self.arc_set)
+        return b
+
+    def restricted(self, keep: Sequence[bool]) -> "Branching":
+        """The sub-branching made of the arcs into the vertices ``v`` with ``keep[v]``."""
+        b = Branching(self.host)
+        for v, p in enumerate(self.parent):
+            if p is not None and keep[v]:
+                b.parent[v] = p
+                b.out_degree[p] += 1
         return b
 
     def available_heads(self, v: int) -> list[int]:
@@ -110,7 +113,6 @@ class Branching:
                 raise IllegalExpansion(f"head {h} already has a parent")
         for h in heads:
             self.parent[h] = v
-            self.arc_set.add((v, h))
         self.out_degree[v] = len(heads)
 
     def add_expansion(self, v: int, heads: Sequence[int]) -> "Branching":
@@ -131,7 +133,6 @@ class Branching:
             raise IllegalExpansion(f"({p}, {v}) is not a host arc")
         self.parent[v] = p
         self.out_degree[p] += 1
-        self.arc_set.add((p, v))
 
     @property
     def leaf_count(self) -> int:
@@ -145,35 +146,25 @@ class Branching:
         return sum(w[v] for v in range(self.host.vertex_count) if self.out_degree[v] == 0)
 
     def stats(self) -> BranchingStats:
-        """Recompute all counters from scratch via union-find over the arcs."""
-        n = self.host.vertex_count
-        uf = list(range(n))
+        """Recompute all counters from scratch by following parent pointers.
 
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        for u, v in self.arc_set:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                uf[ru] = rv
-
-        sizes: dict[int, int] = {}
-        for v in range(n):
-            r = find(v)
-            sizes[r] = sizes.get(r, 0) + 1
-        big_n = sum(s for s in sizes.values() if s >= 2)
-        k = sum(1 for s in sizes.values() if s >= 2)
-        leaves = sum(1 for d in self.out_degree if d == 0)
+        A parent precedes its children in the host's topological order, so
+        one pass in that order finds the top vertex of every component.
+        """
+        top = list(range(self.host.vertex_count))
+        for v in self.host.order:
+            p = self.parent[v]
+            if p is not None:
+                top[v] = top[p]
+        sizes = Counter(top).values()
+        big = [s for s in sizes if s >= 2]
         return BranchingStats(
-            n=n,
-            N=big_n,
-            k=k,
-            leaves=leaves,
+            n=self.host.vertex_count,
+            N=sum(big),
+            k=len(big),
+            leaves=self.out_degree.count(0),
             components=len(sizes),
-            arcs=len(self.arc_set),
+            arcs=self.host.vertex_count - len(sizes),
         )
 
     def is_t_branching(self, t: int) -> bool:
@@ -204,34 +195,18 @@ class Branching:
         )
 
     def is_spanning_arborescence(self) -> bool:
-        """True iff this branching is a single arborescence spanning the host."""
-        n = self.host.vertex_count
-        root = self.host.root
-        if self.parent[root] is not None:
-            return False
-        if any(self.parent[v] is None for v in range(n) if v != root):
-            return False
-        # parent in-degrees are <= 1 by construction; confirm connectivity
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(self.parent):
-            if p is not None:
-                children[p].append(v)
-        reached = 1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for c in children[v]:
-                reached += 1
-                queue.append(c)
-        return reached == n
+        """True iff this branching is a single arborescence spanning the host.
 
-    def sorted_arcs(self) -> list[Arc]:
-        return sorted(self.arc_set)
+        Every arc is a host arc and the host is acyclic, so following parents
+        from any vertex ends at a vertex without one; the branching is a
+        single arborescence iff the root is the only such vertex.
+        """
+        return self.parent[self.host.root] is None and self.parent.count(None) == 1
+
+    def arcs(self) -> list[Arc]:
+        """The ``(parent, child)`` arcs, ordered by child."""
+        return [(p, v) for v, p in enumerate(self.parent) if p is not None]
 
     def __repr__(self) -> str:
-        return f"Branching(arcs={len(self.arc_set)}, leaves={self.leaf_count})"
-
-
-def empty_branching(d: Digraph) -> Branching:
-    """The spanning branching of ``d`` with no arcs."""
-    return Branching.empty(d)
+        arcs = self.host.vertex_count - self.parent.count(None)
+        return f"Branching(arcs={arcs}, leaves={self.leaf_count})"

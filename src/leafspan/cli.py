@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, verify, and benchmark.
 
-Exit codes: 0 success, 1 validation or certificate failure, 2 usage error,
-3 I/O or parse error.
+Exit codes: 0 success, 1 validation or certificate failure, 2 usage error
+(including out-of-range generator arguments) or an instance too large for an
+exact method, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .branching import Branching
-from .errors import ParseError, TooLarge
+from .certificates import PIPELINES, Pipeline
+from .errors import MalformedInput, ParseError, TooLarge
 from .graph import Digraph
 from .instances import (
     gen_adversarial_family,
@@ -24,6 +26,7 @@ from .instances import (
     write_dot,
     write_instance,
 )
+# The pipelines' solve functions look these names up on this module.
 from .packing import EXACT_PACKER, GREEDY_PACKER
 from .solvers import (
     SolveReport,
@@ -34,43 +37,19 @@ from .solvers import (
 )
 from .verify import read_solution, verify_solution, write_solution
 
-ALGORITHMS = ("maxleaves", "expansion2", "w3dm-greedy", "w3dm-exact", "exact")
+ALGORITHMS = tuple(PIPELINES)
 
 CSV_HEADER = [
-    "instance",
-    "algorithm",
-    "n",
-    "leaves",
-    "lb_lemma1",
-    "ub_lemma2",
-    "ub_lemma3",
-    "opt",
-    "ratio",
-    "millis",
+    "instance", "algorithm", "n", "leaves",
+    *dict.fromkeys(b for p in PIPELINES.values() for b in p.bounds),
+    "certificate_ok", "opt", "ratio", "millis",
 ]
 
 
-def _run_algorithm(d: Digraph, algo: str) -> tuple[Branching, SolveReport]:
-    if algo == "maxleaves":
-        return max_leaves(d)
-    if algo == "expansion2":
-        return expansion_baseline(d)
-    if algo == "w3dm-greedy":
-        return max_leaves_packing(d, GREEDY_PACKER)
-    if algo == "w3dm-exact":
-        return max_leaves_packing(d, EXACT_PACKER)
-    if algo == "exact":
-        objective = "leaf_weight" if d.vertex_weights is not None else "leaves"
-        value, t = exact_max_leaves(d, objective)
-        report = SolveReport(
-            algorithm="exact",
-            leaf_count=t.leaf_count,
-            certificate_ok=True,
-        )
-        if d.vertex_weights is not None:
-            report.leaf_weight = value
-        return t, report
-    raise ValueError(f"unknown algorithm {algo!r}")
+def _run_algorithm(d: Digraph, pipeline: Pipeline) -> tuple[Branching, SolveReport]:
+    # the pipeline finds its solver functions on this module at call time,
+    # so wrappers installed on the module's names see every call
+    return pipeline.solve(sys.modules[__name__], d)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -86,7 +65,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     d = read_instance(args.input)
-    t, report = _run_algorithm(d, args.algo)
+    t, report = _run_algorithm(d, PIPELINES[args.algo])
     write_solution(args.output, report, list(t.parent))
     if args.dot:
         write_dot(t, args.dot)
@@ -108,31 +87,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_row(path: Path, d: Digraph, algo: str) -> dict:
-    start = time.perf_counter()
-    t, report = _run_algorithm(d, algo)
-    millis = (time.perf_counter() - start) * 1000.0
-    row = {
-        "instance": path.name,
-        "algorithm": algo,
-        "n": d.vertex_count,
-        "leaves": report.leaf_count,
-        "lb_lemma1": str(report.lb_lemma1) if report.lb_lemma1 is not None else "",
-        "ub_lemma2": str(report.ub_lemma2) if report.ub_lemma2 is not None else "",
-        "ub_lemma3": str(report.ub_lemma3) if report.ub_lemma3 is not None else "",
-        "opt": "",
-        "ratio": "",
-        "millis": f"{millis:.3f}",
-    }
-    try:
-        opt, _ = exact_max_leaves(d)
-        row["opt"] = str(opt)
-        row["ratio"] = str(Fraction(opt, report.leaf_count))
-    except TooLarge:
-        pass  # never estimated: the cell stays empty
-    return row
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.input_dir)
     if not directory.is_dir():
@@ -146,10 +100,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for path in sorted(directory.glob("*.json")):
         d = read_instance(path)
+        try:
+            opt, _ = exact_max_leaves(d)
+        except TooLarge:
+            opt = None  # never estimated: the opt and ratio cells stay empty
         for algo in algos:
-            rows.append(_bench_row(path, d, algo))
+            start = time.perf_counter()
+            _, report = _run_algorithm(d, PIPELINES[algo])
+            millis = (time.perf_counter() - start) * 1000.0
+            row = {"instance": path.name, "algorithm": algo, "n": d.vertex_count,
+                   "leaves": report.leaf_count, "certificate_ok": report.certificate_ok,
+                   "millis": f"{millis:.3f}"}
+            row.update((name, str(value)) for name, value in report.bounds.items())
+            if opt is not None:
+                row["opt"] = str(opt)
+                row["ratio"] = str(Fraction(opt, report.leaf_count))
+            rows.append(row)
     with open(args.csv, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_HEADER)
+        writer = csv.DictWriter(handle, fieldnames=CSV_HEADER, restval="")
         writer.writeheader()
         writer.writerows(rows)
     return 0
@@ -196,13 +164,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except TooLarge as e:
+    except (MalformedInput, TooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

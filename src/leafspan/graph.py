@@ -1,15 +1,15 @@
-"""Immutable rooted-DAG representation with validation and deterministic orderings.
+"""Immutable rooted-DAG representation with validation and a deterministic order.
 
 Vertices are dense integer ids ``0..n-1``.  Construction validates that the
 graph is simple (no self-loops, no parallel arcs), acyclic, and that every
-vertex is reachable from the root.  Instances are immutable afterwards and
-safe to share between workers.
+vertex is reachable from the root.  The same single pass computes the
+smallest-id-first topological order, which every solver phase then reuses.
+Instances are immutable afterwards and safe to share between workers.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from .errors import CycleDetected, MalformedInput, NotRooted
@@ -27,9 +27,13 @@ class Digraph:
         out_adj / in_adj: per-vertex sorted adjacency tuples.
         vertex_weights: optional per-vertex nonnegative integer weights,
             used only by the vertex-weighted leaf objective.
+        order: topological order; among ready vertices the smallest id
+            comes first, so the root leads.
     """
 
-    __slots__ = ("vertex_count", "root", "arcs", "out_adj", "in_adj", "vertex_weights")
+    __slots__ = (
+        "vertex_count", "root", "arcs", "out_adj", "in_adj", "vertex_weights", "order"
+    )
 
     def __init__(
         self,
@@ -63,7 +67,7 @@ class Digraph:
                 raise MalformedInput(
                     f"weights has length {len(weights)}, expected {vertex_count}"
                 )
-            if any(not isinstance(w, int) or w < 0 for w in weights):
+            if any(type(w) is not int or w < 0 for w in weights):
                 raise MalformedInput("weights must be nonnegative integers")
 
         out_adj: list[list[int]] = [[] for _ in range(vertex_count)]
@@ -79,40 +83,33 @@ class Digraph:
         self.in_adj = tuple(tuple(a) for a in in_adj)
         self.vertex_weights = tuple(weights) if weights is not None else None
 
-        self._check_acyclic()
-        self._check_rooted()
+        self.order = self._validated_order()
 
-    def _check_acyclic(self) -> None:
+    def _validated_order(self) -> tuple[int, ...]:
+        """Smallest-id-first Kahn pass; raises on a cycle or a second source.
+
+        On a DAG every vertex is reachable from some in-degree-0 vertex, so
+        the graph is rooted iff the root is the only one.
+        """
         n = self.vertex_count
-        indeg = [len(self.in_adj[v]) for v in range(n)]
-        queue = deque(v for v in range(n) if indeg[v] == 0)
-        visited = 0
-        while queue:
-            v = queue.popleft()
-            visited += 1
+        indeg = [len(a) for a in self.in_adj]
+        sources = [v for v in range(n) if indeg[v] == 0]
+        ready = list(sources)
+        heapq.heapify(ready)
+        order: list[int] = []
+        while ready:
+            v = heapq.heappop(ready)
+            order.append(v)
             for u in self.out_adj[v]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
-                    queue.append(u)
-        if visited != n:
+                    heapq.heappush(ready, u)
+        if len(order) != n:
             raise CycleDetected("input contains a directed cycle")
-
-    def _check_rooted(self) -> None:
-        n = self.vertex_count
-        seen = [False] * n
-        seen[self.root] = True
-        queue = deque([self.root])
-        reached = 1
-        while queue:
-            v = queue.popleft()
-            for u in self.out_adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    reached += 1
-                    queue.append(u)
-        if reached != n:
-            missing = next(v for v in range(n) if not seen[v])
+        if sources != [self.root]:
+            missing = next(v for v in sources if v != self.root)
             raise NotRooted(f"vertex {missing} unreachable from root {self.root}")
+        return tuple(order)
 
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])
@@ -158,22 +155,5 @@ def build_digraph(
 
 
 def topological_order(d: Digraph) -> list[int]:
-    """Topological order of ``d`` starting at the root.
-
-    Deterministic: among ready vertices, the smallest id comes first.  In a
-    rooted DAG the root is the unique vertex of in-degree 0, so it always
-    leads the order.
-    """
-    n = d.vertex_count
-    indeg = [len(d.in_adj[v]) for v in range(n)]
-    ready = [v for v in range(n) if indeg[v] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in d.out_adj[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    return order
+    """Topological order of ``d`` starting at the root (see ``Digraph.order``)."""
+    return list(d.order)

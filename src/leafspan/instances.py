@@ -24,13 +24,10 @@ from .errors import (
     MalformedInput,
     NotReducedInstance,
     ParseError,
-    TooLarge,
 )
 from .graph import Arc, Digraph, build_digraph
 
 PathLike = Union[str, Path]
-
-INDEPENDENT_SET_VERTEX_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -204,41 +201,6 @@ def leaves_to_independent_set(t: Branching) -> set[int]:
     return {i for i in range(n) if t.out_degree[1 + i] == 0}
 
 
-def brute_force_max_independent_set(
-    g: UndirectedGraphInstance,
-) -> tuple[int, set[int]]:
-    """Exhaustive maximum independent set (guarded)."""
-    n = g.vertex_count
-    if n > INDEPENDENT_SET_VERTEX_LIMIT:
-        raise TooLarge(
-            f"{n} vertices exceeds guard of {INDEPENDENT_SET_VERTEX_LIMIT}"
-        )
-    nbr = [0] * n
-    for u, v in g.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-
-    memo: dict[int, tuple[int, int]] = {}
-
-    def rec(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return 0, 0
-        hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        v = (mask & -mask).bit_length() - 1
-        size_out, set_out = rec(mask & ~(1 << v))
-        size_in, set_in = rec(mask & ~((1 << v) | nbr[v]))
-        size_in += 1
-        set_in |= 1 << v
-        result = (size_in, set_in) if size_in >= size_out else (size_out, set_out)
-        memo[mask] = result
-        return result
-
-    size, chosen = rec((1 << n) - 1)
-    return size, {v for v in range(n) if (chosen >> v) & 1}
-
-
 def write_instance(
     d: Digraph, path: PathLike, provenance: Optional[str] = None
 ) -> None:
@@ -255,37 +217,39 @@ def write_instance(
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def read_instance(path: PathLike) -> Digraph:
-    """Parse and validate an instance file; malformed content raises ParseError."""
+def read_json_object(path: PathLike) -> dict:
+    """Read the JSON object in ``path``; unreadable or malformed content raises ParseError."""
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        obj = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level value must be an object")
+    return obj
+
+
+def read_instance(path: PathLike) -> Digraph:
+    """Parse and validate an instance file; malformed content raises ParseError."""
+    obj = read_json_object(path)
     if obj.get("version") != 1:
         raise ParseError(f"{path}: field 'version' must be 1")
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0
     for field_name, kind in (("n", int), ("root", int), ("arcs", list)):
-        if not isinstance(obj.get(field_name), kind):
+        if type(obj.get(field_name)) is not kind:
             raise ParseError(f"{path}: field '{field_name}' missing or wrong type")
     arcs = []
     for i, pair in enumerate(obj["arcs"]):
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(type(x) is int for x in pair)
         ):
             raise ParseError(f"{path}: arcs[{i}] is not an [int, int] pair")
         arcs.append((pair[0], pair[1]))
     weights = obj.get("weights")
-    if weights is not None and (
-        not isinstance(weights, list) or not all(isinstance(w, int) for w in weights)
-    ):
+    if weights is not None and not isinstance(weights, list):
         raise ParseError(f"{path}: field 'weights' must be a list of integers")
     try:
         return build_digraph(obj["n"], obj["root"], arcs, weights)
@@ -300,7 +264,7 @@ def write_dot(
     """DOT export; when given a branching, its arcs are drawn bold over the host."""
     if isinstance(target, Branching):
         host = target.host
-        chosen = set(target.arc_set)
+        chosen = set(target.arcs())
     else:
         host = target
         chosen = set()

@@ -3,20 +3,17 @@
 `max_matching` is an augmenting-path search with blossom shrinking, seeded
 with a greedy matching and run independently per connected component.  It is
 deterministic: vertices are scanned in ascending id and adjacency lists are
-kept sorted.  `brute_force_matching` is the exhaustive oracle twin used by
-the test suite; the two must agree in cardinality on every guarded instance.
+kept sorted.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import MalformedInput, TooLarge
+from .errors import MalformedInput
 
 Edge = tuple[int, int]
-
-BRUTE_FORCE_EDGE_LIMIT = 25
 
 
 def _normalize_edges(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
@@ -170,50 +167,3 @@ def max_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
                 matched.append((u, v) if u < v else (v, u))
     matched.sort()
     return matched
-
-
-def brute_force_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
-    """Maximum matching by exhaustive search; oracle twin of `max_matching`.
-
-    Raises TooLarge when the edge count exceeds ``BRUTE_FORCE_EDGE_LIMIT``.
-    """
-    edge_list = _normalize_edges(vertex_count, edges)
-    if len(edge_list) > BRUTE_FORCE_EDGE_LIMIT:
-        raise TooLarge(
-            f"{len(edge_list)} edges exceeds guard of {BRUTE_FORCE_EDGE_LIMIT}"
-        )
-
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edge_list:
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-
-    def rec(v: int, used: int) -> tuple[int, list[Edge]]:
-        while v < vertex_count and ((used >> v) & 1 or not adj[v]):
-            v += 1
-        if v >= vertex_count:
-            return 0, []
-        best_size, best_edges = rec(v + 1, used)  # leave v unmatched
-        for u in adj[v]:
-            if u > v and not (used >> u) & 1:
-                size, chosen = rec(v + 1, used | (1 << v) | (1 << u))
-                if size + 1 > best_size:
-                    best_size = size + 1
-                    best_edges = chosen + [(v, u)]
-        return best_size, best_edges
-
-    _, picked = rec(0, 0)
-    return sorted(picked)
-
-
-def is_matching(edges: Sequence[Edge]) -> bool:
-    """True iff no two edges share an endpoint."""
-    seen: set[int] = set()
-    for u, v in edges:
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True

@@ -8,85 +8,27 @@ Pipelines:
                            then attachment; ratio max{4/3, alpha}.
   * ``exact_max_leaves``   branch-and-bound over parent functions (oracle).
 
-All vertex iteration happens in the deterministic topological order, so
-identical inputs give identical outputs.
+Each pipeline returns its arborescence and a `SolveReport` certified by its
+record in `certificates.PIPELINES`, the same code `verify` rechecks with.
+All vertex iteration happens in the digraph's deterministic topological
+order, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import replace
+from itertools import combinations
 from typing import Optional
 
-from . import certificates
-from .branching import Branching, BranchingStats
+from .branching import Branching
+from .certificates import PIPELINES, SolveReport
 from .errors import PreconditionViolated, TooLarge
-from .graph import Arc, Digraph, topological_order
+from .graph import Digraph, topological_order
 from .matching import max_matching
 from .packing import EXACT_PACKER, Packer, PackSet
 
 EXACT_PRODUCT_LIMIT = 10**8
 EXACT_SMALL_N = 16
-
-
-@dataclass
-class SolveReport:
-    """Phase-by-phase statistics plus the bound certificates of one run.
-
-    Bound fields are exact rationals; ``certificate_ok`` is the conjunction
-    of every inequality the run's pipeline is entitled to claim.
-    """
-
-    algorithm: str
-    leaf_count: int
-    certificate_ok: bool
-    phase_stats: dict[str, BranchingStats] = field(default_factory=dict)
-    phase_arcs: dict[str, list[Arc]] = field(default_factory=dict)
-    matching_size: Optional[int] = None
-    lb_lemma1: Optional[Fraction] = None
-    ub_lemma2: Optional[Fraction] = None
-    ub_lemma3: Optional[Fraction] = None
-    lb_lemma4: Optional[Fraction] = None
-    ub_lemma5: Optional[Fraction] = None
-    lb_baseline: Optional[Fraction] = None
-    claimed_alpha: Optional[Fraction] = None
-    selected_triples: Optional[int] = None
-    selected_pairs: Optional[int] = None
-    leaf_weight: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        """Flat JSON-ready view; rationals serialize as "p/q" strings."""
-        out: dict = {
-            "algorithm": self.algorithm,
-            "leaf_count": self.leaf_count,
-            "certificate_ok": self.certificate_ok,
-        }
-        phase_names = [n for n in ("F1", "F2", "F3") if n in self.phase_stats]
-        for i, name in enumerate(phase_names, start=1):
-            s = self.phase_stats[name]
-            out[f"N{i}"] = s.N
-            out[f"k{i}"] = s.k
-        if self.matching_size is not None:
-            out["matching_size"] = self.matching_size
-        for key in (
-            "lb_lemma1",
-            "ub_lemma2",
-            "ub_lemma3",
-            "lb_lemma4",
-            "ub_lemma5",
-            "lb_baseline",
-            "claimed_alpha",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = str(Fraction(val))
-        if self.selected_triples is not None:
-            out["selected_triples"] = self.selected_triples
-        if self.selected_pairs is not None:
-            out["selected_pairs"] = self.selected_pairs
-        if self.leaf_weight is not None:
-            out["leaf_weight"] = self.leaf_weight
-        return out
 
 
 def _check_greedy_pre(d: Digraph, t: int, f: Branching) -> None:
@@ -155,91 +97,40 @@ def max_expand(d: Digraph, f: Branching) -> tuple[Branching, int]:
     if not f.is_maximal(3):
         raise PreconditionViolated("input 3-branching is not maximal")
 
-    # candidate v: out-degree 0 with exactly two in-degree-0 out-neighbors
-    edge_for_pair: dict[frozenset[int], int] = {}
-    heads_of: dict[int, list[int]] = {}
+    # candidate v: out-degree 0 with exactly two in-degree-0 out-neighbors;
+    # heads are sorted, so each pair is already a normalized matching edge
+    edge_for_pair: dict[tuple[int, ...], int] = {}
     for v in topological_order(d):
         if f.out_degree[v] == 0:
-            heads = f.available_heads(v)
-            if len(heads) == 2:
-                heads_of[v] = heads
-                pair = frozenset(heads)
-                if pair not in edge_for_pair or v < edge_for_pair[pair]:
-                    edge_for_pair[pair] = v
+            pair = tuple(f.available_heads(v))
+            if len(pair) == 2 and v < edge_for_pair.get(pair, d.vertex_count):
+                edge_for_pair[pair] = v
 
-    nodes = [u for u in range(d.vertex_count) if f.parent[u] is None]
-    index = {u: i for i, u in enumerate(nodes)}
-    simple_edges = []
-    for pair in edge_for_pair:
-        a, b = sorted(pair)
-        simple_edges.append((index[a], index[b]))
+    matched = max_matching(d.vertex_count, edge_for_pair)
 
-    matched = max_matching(len(nodes), simple_edges)
-
+    # matched pairs are disjoint, so applying one leaves the others' heads free
     work = f.copy()
-    applied = []
-    for i, j in matched:
-        pair = frozenset((nodes[i], nodes[j]))
-        applied.append(edge_for_pair[pair])
-    for v in sorted(applied):
-        work._expand(v, heads_of[v])
+    for v in sorted(edge_for_pair[pair] for pair in matched):
+        work._expand(v, work.available_heads(v))
     return work, len(matched)
 
 
 def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
     """The certified 3/2-ratio pipeline: 3-expansions, matching, attachment."""
-    f1 = greedy_expand(d, 3, Branching.empty(d))
-    s1 = f1.stats()
+    f1 = greedy_expand(d, 3, Branching(d))
     f2, matching_size = max_expand(d, f1)
-    s2 = f2.stats()
     t = attach(d, f2)
-    st = t.stats()
     assert t.is_spanning_arborescence()
-
-    lb, u2, u3 = certificates.two_phase_bounds(s1.N, s1.k, s2.N, s2.k)
-    ok = certificates.two_phase_certificate_ok(st.leaves, s1.N, s1.k, s2.N, s2.k)
-    report = SolveReport(
-        algorithm="maxleaves",
-        leaf_count=st.leaves,
-        certificate_ok=ok,
-        phase_stats={"F1": s1, "F2": s2, "T": st},
-        phase_arcs={
-            "F1": f1.sorted_arcs(),
-            "F2": f2.sorted_arcs(),
-            "T": t.sorted_arcs(),
-        },
-        matching_size=matching_size,
-        lb_lemma1=lb,
-        ub_lemma2=u2,
-        ub_lemma3=u3,
-    )
-    if d.vertex_weights is not None:
-        report.leaf_weight = t.leaf_weight()
-    return t, report
+    counts = {"matching_size": matching_size}
+    return t, SolveReport.from_phases(PIPELINES["maxleaves"], [f1, f2, t], counts)
 
 
 def expansion_baseline(d: Digraph) -> tuple[Branching, SolveReport]:
     """Plain greedy 2-expansion baseline (ratio 2) with its own certificate."""
-    f = greedy_expand(d, 2, Branching.empty(d))
-    s = f.stats()
+    f = greedy_expand(d, 2, Branching(d))
     t = attach(d, f)
-    st = t.stats()
     assert t.is_spanning_arborescence()
-
-    lb = certificates.baseline_lower_bound(s.N, s.k)
-    u2 = certificates.upper_bound_from_two_branching(s.N, s.k)
-    report = SolveReport(
-        algorithm="expansion2",
-        leaf_count=st.leaves,
-        certificate_ok=st.leaves >= lb,
-        phase_stats={"F1": s, "T": st},
-        phase_arcs={"F1": f.sorted_arcs(), "T": t.sorted_arcs()},
-        lb_baseline=lb,
-        ub_lemma2=u2,
-    )
-    if d.vertex_weights is not None:
-        report.leaf_weight = t.leaf_weight()
-    return t, report
+    return t, SolveReport.from_phases(PIPELINES["expansion2"], [f, t])
 
 
 def max_leaves_packing(
@@ -251,23 +142,19 @@ def max_leaves_packing(
     or three in-degree-0 out-neighbors contributes a set (weight = size - 1),
     and each 3-set also contributes its three 2-subsets.  Size-3 selections
     are applied before size-2 ones, then the attachment phase completes the
-    arborescence.
+    arborescence.  The report is named ``w3dm-<packer name>`` and certified
+    with the packer's ``claimed_alpha``.
     """
-    f1 = greedy_expand(d, 4, Branching.empty(d))
-    s1 = f1.stats()
+    f1 = greedy_expand(d, 4, Branching(d))
 
     sets: list[PackSet] = []
-    heads_of: dict[int, list[int]] = {}
     for v in topological_order(d):
         if f1.out_degree[v] == 0:
             heads = f1.available_heads(v)
             if 2 <= len(heads) <= 3:
-                heads_of[v] = heads
                 sets.append(PackSet(frozenset(heads), len(heads) - 1, v))
                 if len(heads) == 3:
-                    a, b, c = heads
-                    for sub in ((a, b), (a, c), (b, c)):
-                        sets.append(PackSet(frozenset(sub), 1, v))
+                    sets += [PackSet(frozenset(sub), 1, v) for sub in combinations(heads, 2)]
 
     selection = packer.solve(sets)
     triples = sorted(
@@ -280,49 +167,17 @@ def max_leaves_packing(
     f2 = f1.copy()
     for s in triples:
         f2._expand(s.candidate, s.sorted_members())
-    s2 = f2.stats()
     f3 = f2.copy()
     for s in pairs:
         f3._expand(s.candidate, s.sorted_members())
-    s3 = f3.stats()
     t = attach(d, f3)
-    st = t.stats()
     assert t.is_spanning_arborescence()
 
-    alpha = packer.claimed_alpha
-    lb = certificates.packing_lower_bound(s1.N, s1.k, s2.N, s2.k, s3.N, s3.k)
-    ub = certificates.packing_upper_bound(
-        s1.N, s1.k, s2.N, s2.k, s3.N, s3.k, alpha
+    pipeline = replace(
+        PIPELINES["w3dm-exact"], name=f"w3dm-{packer.name}", alpha=packer.claimed_alpha
     )
-    # leaf-loss identities: each applied selection costs exactly one leaf
-    identities = (
-        s1.leaves - s2.leaves == len(triples)
-        and 3 * len(triples) == (s2.N - s2.k) - (s1.N - s1.k)
-        and s2.leaves - s3.leaves == len(pairs)
-        and 2 * len(pairs) == (s3.N - s3.k) - (s2.N - s2.k)
-        and s1.N - s1.k <= s2.N - s2.k <= s3.N - s3.k
-    )
-    ok = st.leaves >= lb and identities
-    report = SolveReport(
-        algorithm=f"w3dm-{packer.name}",
-        leaf_count=st.leaves,
-        certificate_ok=ok,
-        phase_stats={"F1": s1, "F2": s2, "F3": s3, "T": st},
-        phase_arcs={
-            "F1": f1.sorted_arcs(),
-            "F2": f2.sorted_arcs(),
-            "F3": f3.sorted_arcs(),
-            "T": t.sorted_arcs(),
-        },
-        lb_lemma4=lb,
-        ub_lemma5=ub,
-        claimed_alpha=alpha,
-        selected_triples=len(triples),
-        selected_pairs=len(pairs),
-    )
-    if d.vertex_weights is not None:
-        report.leaf_weight = t.leaf_weight()
-    return t, report
+    counts = {"selected_triples": len(triples), "selected_pairs": len(pairs)}
+    return t, SolveReport.from_phases(pipeline, [f1, f2, f3, t], counts)
 
 
 def _exact_guard(d: Digraph) -> None:

@@ -1,182 +1,106 @@
 """Independent re-verification of solution files.
 
-A solution is a claim; verification recomputes everything from the instance
-plus the recorded parent array and phase arc lists: arborescence validity,
-leaf counts, per-phase statistics, every bound, and the certificate.
+A solution file (format version 2) holds the parent array of the spanning
+arborescence, a per-vertex ``phase`` index into its pipeline's phase names,
+and the solver's report.  Phase ``i`` of the run is the prefix of the
+arborescence made of the arcs into vertices whose index is at most ``i``.
+Verification trusts only the instance and those two arrays: it rebuilds
+every phase, checks each is a t-branching for its pipeline's t, rebuilds
+the report from the phases with the code the solver used (`SolveReport`
+and the pipeline's record in `certificates.PIPELINES`), and compares it
+with the recorded one key by key.  The recorded counts (such as
+``selected_triples``) are the only solver claims it takes, and the
+certificate's inequalities check them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
-from . import certificates
 from .branching import Branching
+from .certificates import PIPELINES, SolveReport
 from .errors import LeafspanError, ParseError
 from .graph import Digraph
-from .solvers import SolveReport
+from .instances import PathLike, read_json_object
 
-PathLike = Union[str, Path]
+VERSION = 2
 
 
 def write_solution(path: PathLike, report: SolveReport, parent: list[Optional[int]]) -> None:
     obj = {
-        "version": 1,
+        "version": VERSION,
         "parent": parent,
+        "phase": report.phase,
         "leaf_count": report.leaf_count,
         "report": report.to_dict(),
-        "phases": {name: [list(a) for a in arcs] for name, arcs in report.phase_arcs.items()},
     }
-    if report.leaf_weight is not None:
-        obj["leaf_weight"] = report.leaf_weight
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_solution(path: PathLike) -> dict:
-    try:
-        raw = Path(path).read_text()
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    try:
-        obj = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    if not isinstance(obj, dict) or not isinstance(obj.get("parent"), list):
-        raise ParseError(f"{path}: solution must be an object with a 'parent' array")
+    """Parse a solution file and type-check its arrays; raises ParseError."""
+    obj = read_json_object(path)
+    if obj.get("version") != VERSION:
+        raise ParseError(f"{path}: unsupported solution version {obj.get('version')!r}")
+    parent, phase = obj.get("parent"), obj.get("phase")
+    if not isinstance(parent, list) or not all(p is None or type(p) is int for p in parent):
+        raise ParseError(f"{path}: 'parent' must be an array of integers and nulls")
+    if not isinstance(phase, list) or not all(type(i) is int for i in phase):
+        raise ParseError(f"{path}: 'phase' must be an array of integers")
     return obj
-
-
-def _check_bound(problems: list[str], report: dict, key: str, expected: Fraction) -> None:
-    raw = report.get(key)
-    if raw is None:
-        problems.append(f"report is missing bound '{key}'")
-        return
-    try:
-        got = Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        problems.append(f"bound '{key}' is not a valid rational: {raw!r}")
-        return
-    if got != expected:
-        problems.append(f"bound '{key}' is {got}, recomputation gives {expected}")
 
 
 def verify_solution(d: Digraph, solution: dict) -> list[str]:
     """Return a list of diagnostics; an empty list means the solution verifies."""
     problems: list[str] = []
+    n = d.vertex_count
 
     parent = solution.get("parent")
-    if not isinstance(parent, list) or len(parent) != d.vertex_count:
-        return [f"parent array must have length {d.vertex_count}"]
+    if not isinstance(parent, list) or len(parent) != n:
+        return [f"parent array must have length {n}"]
     try:
         t = Branching.from_parents(d, parent)
     except LeafspanError as e:
         return [f"parent array invalid: {e}"]
     if not t.is_spanning_arborescence():
-        problems.append("parent array is not a spanning arborescence")
-        return problems
+        return ["parent array is not a spanning arborescence"]
 
-    st = t.stats()
-    if solution.get("leaf_count") != st.leaves:
-        problems.append(
-            f"leaf_count is {solution.get('leaf_count')}, recount gives {st.leaves}"
-        )
-    if "leaf_weight" in solution:
-        if d.vertex_weights is None:
-            problems.append("solution claims leaf_weight but instance is unweighted")
-        elif solution["leaf_weight"] != t.leaf_weight():
-            problems.append(
-                f"leaf_weight is {solution['leaf_weight']}, recount gives {t.leaf_weight()}"
-            )
+    if solution.get("leaf_count") != t.leaf_count:
+        problems.append(f"leaf_count is {solution.get('leaf_count')}, recount gives {t.leaf_count}")
 
     report = solution.get("report")
     if not isinstance(report, dict):
         problems.append("missing report")
         return problems
-    algorithm = report.get("algorithm", "")
-    if algorithm == "exact":
-        return problems
-
-    phases_raw = solution.get("phases")
-    if not isinstance(phases_raw, dict):
-        problems.append("missing phase arc lists")
-        return problems
-
-    stats = {}
-    prev_arcs: Optional[set] = None
-    expected_order = [n for n in ("F1", "F2", "F3", "T") if n in phases_raw]
-    for name in expected_order:
-        try:
-            arcs = [tuple(a) for a in phases_raw[name]]
-            b = Branching.from_arcs(d, arcs)
-        except (LeafspanError, TypeError, ValueError) as e:
-            problems.append(f"phase {name} arc list invalid: {e}")
-            return problems
-        if prev_arcs is not None and not prev_arcs.issubset(b.arc_set):
-            problems.append(f"phase {name} does not contain the previous phase")
-        prev_arcs = set(b.arc_set)
-        stats[name] = b.stats()
-
-    if "T" in stats:
-        if prev_arcs != t.arc_set:
-            problems.append("final phase arcs disagree with the parent array")
-    for idx, name in enumerate([n for n in ("F1", "F2", "F3") if n in stats], start=1):
-        s = stats[name]
-        for field_name, value in ((f"N{idx}", s.N), (f"k{idx}", s.k)):
-            if report.get(field_name) != value:
-                problems.append(
-                    f"report {field_name} is {report.get(field_name)}, "
-                    f"recomputation gives {value}"
-                )
-
-    if algorithm == "maxleaves":
-        if not {"F1", "F2", "T"}.issubset(stats):
-            problems.append("maxleaves solution must record phases F1, F2, T")
-            return problems
-        s1, s2 = stats["F1"], stats["F2"]
-        lb, u2, u3 = certificates.two_phase_bounds(s1.N, s1.k, s2.N, s2.k)
-        _check_bound(problems, report, "lb_lemma1", lb)
-        _check_bound(problems, report, "ub_lemma2", u2)
-        _check_bound(problems, report, "ub_lemma3", u3)
-        if not certificates.two_phase_certificate_ok(st.leaves, s1.N, s1.k, s2.N, s2.k):
-            problems.append("certificate inequalities do not hold")
-    elif algorithm == "expansion2":
-        if not {"F1", "T"}.issubset(stats):
-            problems.append("expansion2 solution must record phases F1, T")
-            return problems
-        s = stats["F1"]
-        lb = certificates.baseline_lower_bound(s.N, s.k)
-        _check_bound(problems, report, "lb_baseline", lb)
-        _check_bound(
-            problems, report, "ub_lemma2",
-            certificates.upper_bound_from_two_branching(s.N, s.k),
-        )
-        if not st.leaves >= lb:
-            problems.append("baseline leaf guarantee does not hold")
-    elif algorithm.startswith("w3dm"):
-        if not {"F1", "F2", "F3", "T"}.issubset(stats):
-            problems.append("packing solution must record phases F1, F2, F3, T")
-            return problems
-        s1, s2, s3 = stats["F1"], stats["F2"], stats["F3"]
-        lb = certificates.packing_lower_bound(s1.N, s1.k, s2.N, s2.k, s3.N, s3.k)
-        _check_bound(problems, report, "lb_lemma4", lb)
-        alpha_raw = report.get("claimed_alpha")
-        if alpha_raw is None:
-            problems.append("packing report is missing claimed_alpha")
-        else:
-            alpha = Fraction(alpha_raw)
-            ub = certificates.packing_upper_bound(
-                s1.N, s1.k, s2.N, s2.k, s3.N, s3.k, alpha
-            )
-            _check_bound(problems, report, "ub_lemma5", ub)
-        if not st.leaves >= lb:
-            problems.append("packing leaf guarantee does not hold")
-        if not (s1.N - s1.k <= s2.N - s2.k <= s3.N - s3.k):
-            problems.append("phase arc counts are not monotone")
-    else:
+    algorithm = report.get("algorithm")
+    pipeline = PIPELINES.get(algorithm) if isinstance(algorithm, str) else None
+    if pipeline is None:
         problems.append(f"unknown algorithm {algorithm!r} in report")
+        return problems
 
-    if report.get("certificate_ok") is not True:
-        problems.append("report does not claim certificate_ok")
+    phase, count = solution.get("phase"), len(pipeline.phases)
+    if not (isinstance(phase, list) and len(phase) == n
+            and all(type(i) is int and 0 <= i < count for i in phase)):
+        problems.append(f"phase must be {n} indices in [0, {count})")
+        return problems
+
+    phases = []
+    for i, (name, t_min) in enumerate(pipeline.phases):
+        phases.append(t.restricted([p <= i for p in phase]))
+        if not phases[-1].is_t_branching(t_min):
+            problems.append(f"phase {name} is not a {t_min}-branching")
+    counts = {key: report.get(key) for key in pipeline.counts}
+    bad = [key for key, value in counts.items() if type(value) is not int]
+    if bad:
+        problems.append(f"report counts {bad} missing or not integers")
+        return problems
+
+    expected = SolveReport.from_phases(pipeline, phases, counts)
+    for key, value in expected.to_dict().items():
+        if report.get(key) != value:
+            problems.append(f"report {key} is {report.get(key)!r}, recomputation gives {value!r}")
+    problems += [f"certificate inequality fails: {name}"
+                 for name, holds in expected.inequalities.items() if not holds]
     return problems

@@ -11,10 +11,8 @@ from fractions import Fraction
 from leafspan import (
     EXACT_PACKER,
     GREEDY_PACKER,
+    Branching,
     UndirectedGraphInstance,
-    brute_force_matching,
-    brute_force_max_independent_set,
-    empty_branching,
     exact_max_leaves,
     expansion_baseline,
     gen_random_rooted_dag,
@@ -27,6 +25,7 @@ from leafspan import (
 )
 from leafspan.certificates import two_phase_bounds
 from leafspan.cli import ALGORITHMS, main
+from oracles import brute_force_matching, brute_force_max_independent_set
 
 
 def report(num, ok, label):
@@ -76,7 +75,7 @@ def test_criterion_3_worked_bound_numbers():
 
 def test_criterion_4_upper_bounds_dominate_optimum():
     ok = all(
-        opt <= rep.ub_lemma2 and opt <= rep.ub_lemma3
+        opt <= rep.bounds["ub_lemma2"] and opt <= rep.bounds["ub_lemma3"]
         for _, rep, opt in solved_corpus()
     )
     report(4, ok, "exact optimum never exceeds either upper bound")
@@ -124,7 +123,7 @@ def test_criterion_6_matching_phase_is_optimal():
     while checked < 300:
         seed += 1
         d = gen_random_rooted_dag(3 + seed % 12, (seed % 7) / 10.0, 5000 + seed)
-        f1 = greedy_expand(d, 3, empty_branching(d))
+        f1 = greedy_expand(d, 3, Branching(d))
         pairs = set()
         for v in range(d.vertex_count):
             if f1.out_degree[v] == 0:

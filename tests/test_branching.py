@@ -8,7 +8,6 @@ from leafspan import (
     IllegalExpansion,
     NotTBranching,
     build_digraph,
-    empty_branching,
 )
 from conftest import random_dag_corpus
 
@@ -25,7 +24,7 @@ def recount_stats(b):
     """Independent recount by full traversal, no union-find."""
     n = b.host.vertex_count
     adj = [[] for _ in range(n)]
-    for u, v in b.arc_set:
+    for u, v in b.arcs():
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
@@ -47,7 +46,7 @@ def recount_stats(b):
     big = [s for s in sizes if s >= 2]
     out_deg = [0] * n
     indeg = [0] * n
-    for u, v in b.arc_set:
+    for u, v in b.arcs():
         out_deg[u] += 1
         indeg[v] += 1
     assert all(d <= 1 for d in indeg)
@@ -56,31 +55,31 @@ def recount_stats(b):
         "k": len(big),
         "components": len(sizes),
         "leaves": sum(1 for d in out_deg if d == 0),
-        "arcs": len(b.arc_set),
+        "arcs": len(b.arcs()),
     }
 
 
 def test_empty_branching_single_vertex():
-    b = empty_branching(build_digraph(1, 0, []))
+    b = Branching(build_digraph(1, 0, []))
     s = b.stats()
     assert (s.leaves, s.components) == (1, 1)
 
 
 def test_empty_branching_counters():
-    b = empty_branching(star(4))
+    b = Branching(star(4))
     s = b.stats()
     assert (s.N, s.k, s.arcs, s.leaves, s.components) == (0, 0, 0, 5, 5)
 
 
 def test_empty_branching_is_t_branching_for_all_t():
-    b = empty_branching(star(3))
+    b = Branching(star(3))
     for t in range(1, 6):
         assert b.is_t_branching(t)
 
 
 def test_add_expansion_star():
     d = star(3)
-    b = empty_branching(d)
+    b = Branching(d)
     b2 = b.add_expansion(0, [1, 2, 3])
     assert b2.stats().leaves == 3
     assert b.stats().leaves == 4  # original untouched
@@ -88,14 +87,14 @@ def test_add_expansion_star():
 
 def test_repeat_expansion_rejected():
     d = star(3)
-    b = empty_branching(d).add_expansion(0, [1, 2, 3])
+    b = Branching(d).add_expansion(0, [1, 2, 3])
     with pytest.raises(IllegalExpansion):
         b.add_expansion(0, [1, 2, 3])
 
 
 def test_expansion_precondition_messages():
     d = build_digraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 1)])
-    b = empty_branching(d)
+    b = Branching(d)
     with pytest.raises(IllegalExpansion, match="not a host arc"):
         b.add_expansion(0, [3])
     with pytest.raises(IllegalExpansion, match="duplicate"):
@@ -111,34 +110,34 @@ def test_expansion_precondition_messages():
 
 def test_path_expansion_gives_spanning_arborescence():
     d = path(3)
-    b = empty_branching(d).add_expansion(0, [1]).add_expansion(1, [2])
+    b = Branching(d).add_expansion(0, [1]).add_expansion(1, [2])
     assert b.is_spanning_arborescence()
     assert b.stats().leaves == 1
 
 
 def test_empty_branching_not_spanning_arborescence():
-    assert not empty_branching(star(2)).is_spanning_arborescence()
+    assert not Branching(star(2)).is_spanning_arborescence()
 
 
 def test_is_t_branching():
     d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 3), (1, 4)])
-    b = empty_branching(d).add_expansion(0, [1, 2]).add_expansion(1, [3, 4])
+    b = Branching(d).add_expansion(0, [1, 2]).add_expansion(1, [3, 4])
     assert b.is_t_branching(2)
     assert not b.is_t_branching(3)
 
 
 def test_is_maximal_star():
     d = star(3)
-    b = empty_branching(d)
+    b = Branching(d)
     assert not b.is_maximal(3)  # root still has 3 free out-neighbors
     assert not b.is_maximal(1)
     d2 = star(2)
-    assert empty_branching(d2).is_maximal(3)
+    assert Branching(d2).is_maximal(3)
 
 
 def test_is_maximal_requires_t_branching():
     d = star(3)
-    b = empty_branching(d).add_expansion(0, [1, 2, 3])
+    b = Branching(d).add_expansion(0, [1, 2, 3])
     with pytest.raises(NotTBranching):
         b.is_maximal(4)
 
@@ -146,7 +145,7 @@ def test_is_maximal_requires_t_branching():
 def test_stats_match_independent_recount_on_random_expansions():
     rng = random.Random(7)
     for d in random_dag_corpus(50, 2, 30, seed=11):
-        b = empty_branching(d).copy()
+        b = Branching(d).copy()
         for _ in range(50):
             candidates = [
                 v for v in range(d.vertex_count)

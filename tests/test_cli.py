@@ -1,8 +1,11 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
+import leafspan.cli
+from leafspan.certificates import PIPELINES, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, main
 
 
@@ -156,3 +159,114 @@ def test_bench_deterministic_modulo_timing(tmp_path):
         return rows
 
     assert snapshot("one.csv") == snapshot("two.csv")
+
+
+@pytest.mark.parametrize("flags", [["--generator", "random", "--n", "0"],
+                                   ["--generator", "adversarial", "--k", "0"]])
+def test_gen_out_of_range_exits_2_with_one_error_line(tmp_path, capsys, flags):
+    assert run("gen", *flags, "--out", str(tmp_path / "x.json")) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
+def solved(tmp_path, algo, n=200, p=0.05, seed=7):
+    inst = gen_random(tmp_path, n=n, p=p, seed=seed)
+    sol = tmp_path / f"{algo}.json"
+    assert run("solve", "--algo", algo, "--input", str(inst), "--output", str(sol)) == 0
+    return inst, sol, json.loads(sol.read_text())
+
+
+def verify_diagnostics(capsys, inst, sol, obj):
+    sol.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 1
+    err = capsys.readouterr().err
+    assert "verify:" in err and "Traceback" not in err
+    return err
+
+
+def test_forged_phases_and_bounds_fail_verify(tmp_path, capsys):
+    # every vertex in phase T and every bound "1": the phase statistics and
+    # bounds recompute consistently, but 1 is below the leaf count
+    inst, sol, obj = solved(tmp_path, "maxleaves")
+    obj["phase"] = [2] * len(obj["parent"])
+    rep = obj["report"]
+    rep.update(N1=0, k1=0, N2=0, k2=0, lb_lemma1="1", ub_lemma2="1", ub_lemma3="1")
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert "ub_lemma2 >= leaf_count" in err and "ub_lemma3 >= leaf_count" in err
+    mismatches = [line for line in err.splitlines() if "recomputation" in line]
+    assert mismatches == ["verify: report certificate_ok is True, recomputation gives False"]
+
+
+def test_forged_claimed_alpha_fails_verify(tmp_path, capsys):
+    inst, sol, obj = solved(tmp_path, "w3dm-greedy")
+    rep = obj["report"]
+    assert rep["claimed_alpha"] == "3"
+    nk = [rep[key] for key in ("N1", "k1", "N2", "k2", "N3", "k3")]
+    rep.update(claimed_alpha="1", ub_lemma5=str(packing_upper_bound(*nk, Fraction(1))))
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert "claimed_alpha" in err
+
+
+def test_non_rational_claimed_alpha_fails_verify(tmp_path, capsys):
+    inst, sol, obj = solved(tmp_path, "w3dm-greedy", n=30, p=0.2, seed=1)
+    obj["report"]["claimed_alpha"] = "abc"
+    assert "claimed_alpha" in verify_diagnostics(capsys, inst, sol, obj)
+
+
+@pytest.mark.parametrize("algorithm", ["w3dm-mine", ["maxleaves"]])
+def test_verify_rejects_unknown_algorithm(tmp_path, capsys, algorithm):
+    inst, sol, obj = solved(tmp_path, "w3dm-exact", n=12, p=0.3, seed=2)
+    obj["report"]["algorithm"] = algorithm
+    assert "unknown algorithm" in verify_diagnostics(capsys, inst, sol, obj)
+
+
+@pytest.mark.parametrize("change", [
+    {"version": 1},
+    {"parent": [True]},
+    {"parent": ["0"]},
+    {"phase": [False]},
+    {"phase": [0.0]},
+    {"phase": None},
+])
+def test_malformed_solution_exits_3(tmp_path, capsys, change):
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=12, p=0.3, seed=2)
+    for key, value in change.items():
+        obj[key] = value if not isinstance(value, list) else value + obj[key][1:]
+    sol.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    if "version" in change:
+        assert "unsupported solution version" in err
+
+
+def test_bench_header_lists_every_bound_and_certificate_ok():
+    bounds = {b for p in PIPELINES.values() for b in p.bounds}
+    assert bounds == {"lb_lemma1", "ub_lemma2", "ub_lemma3", "lb_baseline",
+                      "lb_lemma4", "ub_lemma5"}
+    assert bounds | {"certificate_ok"} <= set(CSV_HEADER)
+
+
+def test_bench_runs_the_oracle_once_per_instance(tmp_path, monkeypatch):
+    calls = []
+    oracle = leafspan.cli.exact_max_leaves
+
+    def spy(d, *args):
+        calls.append(d)
+        return oracle(d, *args)
+
+    monkeypatch.setattr(leafspan.cli, "exact_max_leaves", spy)
+    indir = tmp_path / "instances"
+    indir.mkdir()
+    gen_random(indir, "a.json", n=10, p=0.3, seed=3)
+    gen_random(indir, "b.json", n=14, p=0.1, seed=4)
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--input-dir", str(indir), "--algos",
+               "maxleaves,expansion2,w3dm-greedy", "--csv", str(out)) == 0
+    assert len(calls) == 2
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [r["certificate_ok"] for r in rows] == ["True"] * 6
+    assert all(r["lb_lemma4"] and r["ub_lemma5"] for r in rows[2::3])

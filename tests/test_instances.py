@@ -11,7 +11,6 @@ from leafspan import (
     ParseError,
     TooLarge,
     UndirectedGraphInstance,
-    brute_force_max_independent_set,
     build_digraph,
     exact_max_leaves,
     gen_adversarial_family,
@@ -23,6 +22,7 @@ from leafspan import (
     write_dot,
     write_instance,
 )
+from oracles import brute_force_max_independent_set
 
 
 def random_undirected(rng, n, p):
@@ -251,6 +251,10 @@ class TestSerialization:
             '{"version": 1, "root": 0, "arcs": []}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[0, 1, 2]]}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[0, "x"]]}',
+            '{"version": 1, "n": true, "root": 0, "arcs": []}',
+            '{"version": 1, "n": 2, "root": false, "arcs": [[0, 1]]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [[false, true]]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [[0, 1]], "weights": [1, true]}',
         ],
     )
     def test_parse_error_shapes(self, tmp_path, body):

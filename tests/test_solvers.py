@@ -6,12 +6,11 @@ import pytest
 from leafspan import (
     Branching,
     GREEDY_PACKER,
+    Packer,
     PreconditionViolated,
     TooLarge,
     attach,
-    brute_force_matching,
     build_digraph,
-    empty_branching,
     exact_max_leaves,
     expansion_baseline,
     gen_random_rooted_dag,
@@ -19,9 +18,11 @@ from leafspan import (
     max_expand,
     max_leaves,
     max_leaves_packing,
+    pack_greedy,
 )
 from leafspan.certificates import two_phase_bounds
 from conftest import random_dag_corpus
+from oracles import brute_force_matching
 
 
 def star(k):
@@ -46,31 +47,31 @@ def shared_head_instance():
 class TestGreedyExpand:
     def test_star_three_children(self):
         d = star(3)
-        f = greedy_expand(d, 3, empty_branching(d))
+        f = greedy_expand(d, 3, Branching(d))
         assert f.stats().leaves == 3
         assert f.out_degree[0] == 3
 
     def test_star_two_children_unchanged(self):
         d = star(2)
-        f = greedy_expand(d, 3, empty_branching(d))
+        f = greedy_expand(d, 3, Branching(d))
         assert f.stats().arcs == 0
 
     def test_precondition_rejected(self):
         d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 3), (1, 4)])
-        two_branching = greedy_expand(d, 2, empty_branching(d))
+        two_branching = greedy_expand(d, 2, Branching(d))
         with pytest.raises(PreconditionViolated):
             greedy_expand(d, 2, two_branching)  # needs a 3-branching
 
     def test_t1_requires_internal_coverage(self):
         d = build_digraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        bad = empty_branching(d).add_expansion(0, [1])  # 2 and 3 still free
+        bad = Branching(d).add_expansion(0, [1])  # 2 and 3 still free
         with pytest.raises(PreconditionViolated):
             greedy_expand(d, 1, bad)
 
     def test_output_is_maximal_t_branching_on_random_dags(self):
         for i, d in enumerate(random_dag_corpus(100, 1, 25, seed=21)):
             for t in (1, 2, 3):
-                f = greedy_expand(d, t, empty_branching(d))
+                f = greedy_expand(d, t, Branching(d))
                 assert f.is_t_branching(t)
                 assert f.is_maximal(t)
                 assert f.has_internal_coverage()
@@ -79,14 +80,14 @@ class TestGreedyExpand:
 class TestMaxExpand:
     def test_no_candidates_returns_input(self):
         d = star(4)
-        f = greedy_expand(d, 3, empty_branching(d))
+        f = greedy_expand(d, 3, Branching(d))
         f2, size = max_expand(d, f)
         assert size == 0
-        assert f2.arc_set == f.arc_set
+        assert f2.arcs() == f.arcs()
 
     def test_shared_head_forces_single_expansion(self):
         d = shared_head_instance()
-        f1 = greedy_expand(d, 3, empty_branching(d))
+        f1 = greedy_expand(d, 3, Branching(d))
         assert f1.out_degree[0] == 5
         f2, size = max_expand(d, f1)
         # oracle: both candidate edges share head 6, so only one fits
@@ -99,7 +100,7 @@ class TestMaxExpand:
 
     def test_applied_count_matches_brute_force_on_random_dags(self):
         for d in random_dag_corpus(300, 1, 14, seed=23):
-            f1 = greedy_expand(d, 3, empty_branching(d))
+            f1 = greedy_expand(d, 3, Branching(d))
             # derive the collapsed candidate graph independently
             pairs = set()
             for v in range(d.vertex_count):
@@ -121,7 +122,7 @@ class TestMaxExpand:
     def test_precondition_rejected(self):
         d = star(3)
         with pytest.raises(PreconditionViolated):
-            max_expand(d, empty_branching(d))  # not maximal for t=3
+            max_expand(d, Branching(d))  # not maximal for t=3
 
 
 class TestMaxLeaves:
@@ -151,7 +152,7 @@ class TestMaxLeaves:
             # leaves lost in the matching phase equal the matching size
             s1, s2 = rep.phase_stats["F1"], rep.phase_stats["F2"]
             lost = s1.leaves - s2.leaves
-            assert lost == rep.matching_size
+            assert lost == rep.counts["matching_size"]
             assert 2 * lost == (s2.N - s2.k) - (s1.N - s1.k)
             assert s1.N - s1.k <= s2.N - s2.k
 
@@ -175,13 +176,13 @@ class TestMaxLeavesPacking:
         d = star(4)
         t, rep = max_leaves_packing(d)
         assert rep.leaf_count == 4
-        assert rep.selected_triples == 0 and rep.selected_pairs == 0
+        assert rep.counts["selected_triples"] == 0 and rep.counts["selected_pairs"] == 0
 
     def test_star_three_children_selects_triple(self):
         d = star(3)
         t, rep = max_leaves_packing(d)
-        assert rep.selected_triples == 1
-        assert rep.selected_pairs == 0
+        assert rep.counts["selected_triples"] == 1
+        assert rep.counts["selected_pairs"] == 0
         assert rep.leaf_count == 3
 
     def test_certified_with_both_packers_on_random_dags(self):
@@ -194,7 +195,14 @@ class TestMaxLeavesPacking:
             assert rep.certificate_ok
             opt, _ = exact_max_leaves(d)
             assert 3 * opt <= 4 * rep.leaf_count  # exact packer: ratio 4/3
-            assert opt <= rep.ub_lemma5
+            assert opt <= rep.bounds["ub_lemma5"]
+
+    def test_user_packer_certifies_with_its_claimed_alpha(self):
+        packer = Packer("mine", Fraction(2), pack_greedy)
+        for d in random_dag_corpus(40, 3, 14, seed=43):
+            t, rep = max_leaves_packing(d, packer)
+            assert rep.algorithm == "w3dm-mine" and rep.certificate_ok
+            assert rep.to_dict()["claimed_alpha"] == "2"
 
 
 class TestExactOracle:
@@ -244,7 +252,7 @@ class TestAttach:
     def test_prefers_internal_parent(self):
         # 3 reachable via internal 1 or leaf 2; attach must not cost a leaf
         d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 4), (1, 3), (2, 3)])
-        f = empty_branching(d).add_expansion(0, [1, 2]).add_expansion(1, [4])
+        f = Branching(d).add_expansion(0, [1, 2]).add_expansion(1, [4])
         t = attach(d, f)
         assert t.parent[3] == 1
         assert t.is_spanning_arborescence()
@@ -252,7 +260,7 @@ class TestAttach:
     def test_handles_vertices_with_only_internal_in_neighbors(self):
         # after a partial expansion, 3's only in-neighbor is internal
         d = build_digraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        f = empty_branching(d).add_expansion(0, [1, 2])
+        f = Branching(d).add_expansion(0, [1, 2])
         t = attach(d, f)
         assert t.is_spanning_arborescence()
         assert t.parent[3] == 0
