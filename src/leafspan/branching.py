@@ -105,7 +105,8 @@ class Branching:
             raise IllegalExpansion("expansion requires at least one head")
         if len(set(heads)) != len(heads):
             raise IllegalExpansion("duplicate heads in expansion")
-        out = self.host.out_adj[v]
+        # a set: a hub can have thousands of heads to check
+        out = set(self.host.out_adj[v])
         for h in heads:
             if h not in out:
                 raise IllegalExpansion(f"({v}, {h}) is not a host arc")

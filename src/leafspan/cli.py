@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -123,7 +124,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="leafspan",
         description="Leaf-maximizing spanning arborescences on rooted DAGs.",
@@ -160,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError) as e:

@@ -60,6 +60,9 @@ class Digraph:
             seen.add((u, v))
             arc_list.append((u, v))
         arc_list.sort()
+        # before any list of length n exists, so a declared n cannot size memory
+        if len(arc_list) < vertex_count - 1:
+            raise NotRooted(f"{len(arc_list)} arcs cannot span {vertex_count} vertices")
 
         if weights is not None:
             weights = list(weights)
@@ -79,8 +82,11 @@ class Digraph:
         self.vertex_count = vertex_count
         self.root = root
         self.arcs = tuple(arc_list)
-        self.out_adj = tuple(tuple(a) for a in out_adj)
-        self.in_adj = tuple(tuple(a) for a in in_adj)
+        # built from lists, not generators: CPython grows a tuple built from a
+        # generator by realloc, so the size-n tuples freed with each graph
+        # would pile up on its tuple free lists (about 3 MB) until a full gc
+        self.out_adj = tuple([tuple(a) for a in out_adj])
+        self.in_adj = tuple([tuple(a) for a in in_adj])
         self.vertex_weights = tuple(weights) if weights is not None else None
 
         self.order = self._validated_order()

@@ -1,7 +1,7 @@
 """Maximum-cardinality matching in general undirected graphs.
 
 `max_matching` is an augmenting-path search with blossom shrinking, seeded
-with a greedy matching and run independently per connected component.  It is
+with a greedy matching and run once over the whole graph.  It is
 deterministic: vertices are scanned in ascending id and adjacency lists are
 kept sorted.
 """
@@ -9,6 +9,7 @@ kept sorted.
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Iterable
 
 from .errors import MalformedInput
@@ -34,9 +35,11 @@ def _normalize_edges(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
 
 
 def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
-    """Edmonds' blossom algorithm on a connected (or any) graph of n vertices.
+    """Edmonds' blossom algorithm on a graph of n vertices.
 
-    Returns the mate array (-1 for unmatched).
+    Returns the mate array (-1 for unmatched).  Each augmenting search records
+    the vertices it adds to its alternating tree in ``touched`` and resets only
+    those afterwards, so a search costs time in what it reaches, not in n.
     """
     match = [-1] * n
     # greedy seed keeps the number of augmenting searches low
@@ -50,35 +53,36 @@ def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
 
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
+    # mark[v] == s: v was marked under stamp s; a fresh stamp clears all marks
+    mark = [0] * n
+    stamps = count(1)
+    touched: list[int] = []
 
-    def lca(a: int, b: int) -> int:
-        used = [False] * n
+    def lca(a: int, b: int, stamp: int) -> int:
         while True:
             a = base[a]
-            used[a] = True
+            mark[a] = stamp
             if match[a] < 0:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if mark[b] == stamp:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, stamp: int) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            mark[base[v]] = stamp
+            mark[base[match[v]]] = stamp
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used = [False] * n
         used[root] = True
+        touched.append(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -87,18 +91,20 @@ def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
                     continue
                 if to == root or (match[to] >= 0 and p[match[to]] >= 0):
                     # odd cycle: shrink the blossom
-                    cur_base = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur_base, to, in_blossom)
-                    mark_path(to, cur_base, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur_base
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    cur_base = lca(v, to, next(stamps))
+                    blossom = next(stamps)
+                    mark_path(v, cur_base, to, blossom)
+                    mark_path(to, cur_base, v, blossom)
+                    # only tree vertices can lie in the blossom; ascending id
+                    # keeps the queue order of a scan over all vertices
+                    for i in sorted(i for i in touched if mark[base[i]] == blossom):
+                        base[i] = cur_base
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
                 elif p[to] < 0:
                     p[to] = v
+                    touched.append(to)
                     if match[to] < 0:
                         # augment along the alternating path back to root
                         u = to
@@ -110,12 +116,18 @@ def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
                             u = ppv
                         return True
                     used[match[to]] = True
+                    touched.append(match[to])
                     queue.append(match[to])
         return False
 
     for v in range(n):
         if match[v] < 0:
             find_path(v)
+            for i in touched:
+                p[i] = -1
+                base[i] = i
+                used[i] = False
+            touched.clear()
     return match
 
 
@@ -129,41 +141,10 @@ def max_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
     Returns:
         Sorted list of matched edges as ``(u, v)`` with ``u < v``.
     """
-    edge_list = _normalize_edges(vertex_count, edges)
-
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in edge_list:
+    # the edges come sorted, so every adjacency list comes out sorted too
+    for u, v in _normalize_edges(vertex_count, edges):
         adj[u].append(v)
         adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-
-    # process per connected component so sparse instances stay cheap
-    comp = [-1] * vertex_count
-    comps: list[list[int]] = []
-    for s in range(vertex_count):
-        if comp[s] >= 0 or not adj[s]:
-            continue
-        members = [s]
-        comp[s] = len(comps)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if comp[u] < 0:
-                    comp[u] = len(comps)
-                    members.append(u)
-                    queue.append(u)
-        comps.append(sorted(members))
-
-    matched: list[Edge] = []
-    for members in comps:
-        local = {v: i for i, v in enumerate(members)}
-        local_adj = [[local[u] for u in adj[v]] for v in members]
-        mate = _blossom_match(len(members), local_adj)
-        for i, j in enumerate(mate):
-            if 0 <= j and i < j:
-                u, v = members[i], members[j]
-                matched.append((u, v) if u < v else (v, u))
-    matched.sort()
-    return matched
+    mate = _blossom_match(vertex_count, adj)
+    return [(u, v) for u, v in enumerate(mate) if u < v]

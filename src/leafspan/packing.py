@@ -102,6 +102,7 @@ def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
         dfs(i + 1, weight)
 
     dfs(0, 0)
+    del dfs  # dfs refers to itself; break the cycle so its state is freed now
     return best_sel
 
 

@@ -257,6 +257,7 @@ def exact_max_leaves(
             parent[v] = None
 
     dfs(0, base_cost)
+    del dfs  # dfs refers to itself; break the cycle so its state is freed now
     assert best_parent is not None
     branching = Branching.from_parents(d, best_parent)
     assert branching.is_spanning_arborescence()

@@ -1,14 +1,16 @@
 """Exhaustive oracles the tests compare the package's algorithms against.
 
 Each is guarded: it raises TooLarge above a size where exhaustive search
-stops being cheap.
+stops being cheap.  `random_dag_corpus` and `random_edges` supply seeded
+inputs for property tests.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
-from leafspan import TooLarge, UndirectedGraphInstance
+from leafspan import Digraph, TooLarge, UndirectedGraphInstance, gen_random_rooted_dag
 from leafspan.matching import Edge, _normalize_edges
 
 BRUTE_FORCE_EDGE_LIMIT = 25
@@ -95,3 +97,28 @@ def brute_force_max_independent_set(
 
     size, chosen = rec((1 << n) - 1)
     return size, {v for v in range(n) if (chosen >> v) & 1}
+
+
+def random_dag_corpus(
+    count: int, n_lo: int, n_hi: int, seed: int = 1,
+    probabilities: Sequence[float] = (0.0, 0.1, 0.3, 0.6),
+) -> list[Digraph]:
+    """Deterministic list of random rooted DAGs for property tests."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(n_lo, n_hi)
+        p = rng.choice(probabilities)
+        out.append(gen_random_rooted_dag(n, p, seed * 100003 + i))
+    return out
+
+
+def random_edges(rng: random.Random, n: int, m: int) -> list[Edge]:
+    """``m`` distinct random edges on ``n`` vertices (fewer if the graph is complete)."""
+    m = min(m, n * (n - 1) // 2)
+    edges: dict[Edge, None] = {}
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges[(min(u, v), max(u, v))] = None
+    return list(edges)

@@ -9,7 +9,7 @@ from leafspan import (
     NotTBranching,
     build_digraph,
 )
-from conftest import random_dag_corpus
+from oracles import random_dag_corpus
 
 
 def star(k):

@@ -43,6 +43,18 @@ def test_every_algorithm_verifies(tmp_path, algo):
     assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    five = gen_random(tmp_path, "five.json", n=5)
+    assert json.loads(five.read_text())["n"] == 5
+    default = tmp_path / "default.json"
+    assert run("gen", "--generator", "random", "--out", str(default)) == 0
+    assert json.loads(default.read_text())["n"] == 10
+    with pytest.raises(SystemExit) as info:
+        run("solve", "--algo", "no-such-algorithm")
+    assert info.value.code == 2
+    assert run("gen", "--generator", "random", "--out", str(default)) == 0
+
+
 def test_solve_writes_dot(tmp_path):
     inst = gen_random(tmp_path)
     sol = tmp_path / "sol.json"

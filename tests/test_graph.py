@@ -10,7 +10,7 @@ from leafspan import (
     build_digraph,
     topological_order,
 )
-from conftest import random_dag_corpus
+from oracles import random_dag_corpus
 
 
 def test_single_vertex():

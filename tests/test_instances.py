@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from leafspan import (
     CycleDetected,
     MalformedInput,
     NotReducedInstance,
+    NotRooted,
     ParseError,
     TooLarge,
     UndirectedGraphInstance,
@@ -234,6 +236,20 @@ class TestSerialization:
         with pytest.raises(ParseError) as info:
             read_instance(p)
         assert isinstance(info.value.__cause__, CycleDetected)
+
+    def test_declared_n_does_not_size_memory(self, tmp_path):
+        # 2 arcs cannot span 200k vertices: rejected before any list of length n
+        p = tmp_path / "huge_n.json"
+        p.write_text('{"version": 1, "n": 200000, "root": 0, "arcs": [[0, 1], [1, 2]]}')
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                read_instance(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(info.value.__cause__, NotRooted)
+        assert peak < 1_000_000
 
     def test_parse_error_wrong_weight_length(self, tmp_path):
         p = tmp_path / "w.json"

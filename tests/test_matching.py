@@ -3,7 +3,7 @@ import random
 import pytest
 
 from leafspan import MalformedInput, TooLarge, max_matching
-from oracles import brute_force_matching, is_matching
+from oracles import brute_force_matching, is_matching, random_edges
 
 
 def petersen_edges():
@@ -100,3 +100,28 @@ def test_cardinality_invariant_under_relabeling():
 def test_deterministic_output():
     edges = petersen_edges()
     assert max_matching(10, edges) == max_matching(10, list(reversed(edges)))
+
+
+def test_disjoint_union_is_union_of_matchings():
+    # searches never cross components, so G and H are matched as if alone
+    rng = random.Random(2024)
+    for _ in range(40):
+        n, k = rng.randint(1, 300), rng.randint(1, 300)
+        g = random_edges(rng, n, round(rng.choice((0.8, 1.5, 3.0)) * n))
+        h = random_edges(rng, k, round(rng.choice((0.8, 1.5, 3.0)) * k))
+        union = g + [(n + u, n + v) for u, v in h]
+        shifted = [(n + u, n + v) for u, v in max_matching(k, h)]
+        assert max_matching(n + k, union) == max_matching(n, g) + shifted
+
+
+def test_size_equals_networkx_on_random_graphs():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1965)
+    for n in (2, 5, 10, 31, 100, 316, 1000):
+        for density in (0.8, 1.5, 3.0):
+            edges = random_edges(rng, n, round(density * n))
+            got = max_matching(n, edges)
+            assert is_matching(got)
+            assert set(got) <= set(edges)
+            g = nx.Graph(edges)
+            assert len(got) == len(nx.max_weight_matching(g, maxcardinality=True))

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from leafspan import (
     Branching,
     GREEDY_PACKER,
+    PackSet,
     Packer,
     PreconditionViolated,
     TooLarge,
@@ -18,11 +20,11 @@ from leafspan import (
     max_expand,
     max_leaves,
     max_leaves_packing,
+    pack_exact,
     pack_greedy,
 )
 from leafspan.certificates import two_phase_bounds
-from conftest import random_dag_corpus
-from oracles import brute_force_matching
+from oracles import brute_force_matching, random_dag_corpus
 
 
 def star(k):
@@ -225,6 +227,19 @@ class TestExactOracle:
             pruned, _ = exact_max_leaves(d, prune=True)
             full, _ = exact_max_leaves(d, prune=False)
             assert pruned == full
+
+    def test_searches_leave_no_reference_cycles(self):
+        # their state must be freed on return, not at the next full gc
+        d = build_digraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        sets = [PackSet(frozenset({1, 2}), 1, 0), PackSet(frozenset({2, 3}), 1, 1)]
+        gc.collect()
+        gc.disable()
+        try:
+            exact_max_leaves(d)
+            pack_exact(sets)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weighted_objective(self):
         d = build_digraph(
