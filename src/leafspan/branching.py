@@ -57,10 +57,10 @@ class Branching:
         would get two parents.
         """
         b = cls(host)
-        host_arcs = set(host.arcs)
-        for arc in arcs:
-            u, v = arc
-            if (u, v) not in host_arcs:
+        n = host.vertex_count
+        for u, v in arcs:
+            # O(in-degree); the range check stops a negative v indexing from the end
+            if not (0 <= v < n and u in host.in_adj[v]):
                 raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
             if b.parent[v] is not None:
                 raise MalformedInput(f"vertex {v} has two parents")

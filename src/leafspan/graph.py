@@ -1,10 +1,10 @@
 """Immutable rooted-DAG representation with validation and a deterministic order.
 
-Vertices are dense integer ids ``0..n-1``.  Construction validates that the
-graph is simple (no self-loops, no parallel arcs), acyclic, and that every
-vertex is reachable from the root.  The same single pass computes the
-smallest-id-first topological order, which every solver phase then reuses.
-Instances are immutable afterwards and safe to share between workers.
+Vertices are dense integer ids ``0..n-1``.  Construction is the one place
+arcs are validated: one pass files each arc into the adjacency lists, the
+only copy kept.  The graph must be simple, acyclic and rooted; the Kahn pass
+that checks this computes the smallest-id-first topological order, which
+every solver phase then reuses.  Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ class Digraph:
     Attributes:
         vertex_count: number of vertices ``n``.
         root: vertex from which every vertex is reachable.
-        arcs: lexicographically sorted tuple of ``(tail, head)`` pairs.
-        out_adj / in_adj: per-vertex sorted adjacency tuples.
+        out_adj / in_adj: per-vertex sorted adjacency tuples; the only
+            stored copy of the arcs.
         vertex_weights: optional per-vertex nonnegative integer weights,
             used only by the vertex-weighted leaf objective.
         order: topological order; among ready vertices the smallest id
             comes first, so the root leads.
     """
 
-    __slots__ = (
-        "vertex_count", "root", "arcs", "out_adj", "in_adj", "vertex_weights", "order"
-    )
+    __slots__ = ("vertex_count", "root", "out_adj", "in_adj", "vertex_weights", "order")
 
     def __init__(
         self,
@@ -47,22 +45,10 @@ class Digraph:
         if not 0 <= root < vertex_count:
             raise MalformedInput(f"root {root} out of range [0, {vertex_count})")
 
-        arc_list: list[Arc] = []
-        seen: set[Arc] = set()
-        for arc in arcs:
-            u, v = arc
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise MalformedInput(f"arc ({u}, {v}) out of range [0, {vertex_count})")
-            if u == v:
-                raise MalformedInput(f"self-loop at vertex {u}")
-            if (u, v) in seen:
-                raise MalformedInput(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            arc_list.append((u, v))
-        arc_list.sort()
+        arcs = arcs if isinstance(arcs, list) else list(arcs)
         # before any list of length n exists, so a declared n cannot size memory
-        if len(arc_list) < vertex_count - 1:
-            raise NotRooted(f"{len(arc_list)} arcs cannot span {vertex_count} vertices")
+        if len(arcs) < vertex_count - 1:
+            raise NotRooted(f"{len(arcs)} arcs cannot span {vertex_count} vertices")
 
         if weights is not None:
             weights = list(weights)
@@ -73,20 +59,33 @@ class Digraph:
             if any(type(w) is not int or w < 0 for w in weights):
                 raise MalformedInput("weights must be nonnegative integers")
 
+        # the one validation pass: each arc goes straight into the adjacency
+        bad = f"is not a pair of distinct integer vertex ids in [0, {vertex_count})"
         out_adj: list[list[int]] = [[] for _ in range(vertex_count)]
         in_adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in arc_list:
+        for arc in arcs:
+            try:
+                u, v = arc
+            except (TypeError, ValueError):
+                u = v = None  # rejected just below
+            # type() rather than isinstance(): JSON true/false must not pass as 1/0
+            if (type(u) is not int or type(v) is not int
+                    or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
+                raise MalformedInput(f"arc {arc!r:.60} {bad}")
             out_adj[u].append(v)
             in_adj[v].append(u)
 
         self.vertex_count = vertex_count
         self.root = root
-        self.arcs = tuple(arc_list)
         # built from lists, not generators: CPython grows a tuple built from a
         # generator by realloc, so the size-n tuples freed with each graph
         # would pile up on its tuple free lists (about 3 MB) until a full gc
-        self.out_adj = tuple([tuple(a) for a in out_adj])
-        self.in_adj = tuple([tuple(a) for a in in_adj])
+        self.out_adj = tuple([tuple(sorted(a)) for a in out_adj])
+        self.in_adj = tuple([tuple(sorted(a)) for a in in_adj])
+        for u, heads in enumerate(self.out_adj):
+            for i in range(1, len(heads)):
+                if heads[i] == heads[i - 1]:
+                    raise MalformedInput(f"duplicate arc ({u}, {heads[i]})")
         self.vertex_weights = tuple(weights) if weights is not None else None
 
         self.order = self._validated_order()
@@ -100,8 +99,7 @@ class Digraph:
         n = self.vertex_count
         indeg = [len(a) for a in self.in_adj]
         sources = [v for v in range(n) if indeg[v] == 0]
-        ready = list(sources)
-        heapq.heapify(ready)
+        ready = list(sources)  # ascending, so already a heap
         order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
@@ -117,6 +115,11 @@ class Digraph:
             raise NotRooted(f"vertex {missing} unreachable from root {self.root}")
         return tuple(order)
 
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Lexicographically sorted ``(tail, head)`` pairs, derived from ``out_adj``."""
+        return tuple([(u, v) for u, heads in enumerate(self.out_adj) for v in heads])
+
     def out_degree(self, v: int) -> int:
         return len(self.out_adj[v])
 
@@ -129,17 +132,17 @@ class Digraph:
         return (
             self.vertex_count == other.vertex_count
             and self.root == other.root
-            and self.arcs == other.arcs
+            and self.out_adj == other.out_adj
             and self.vertex_weights == other.vertex_weights
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.root, self.arcs, self.vertex_weights))
+        return hash((self.vertex_count, self.root, self.out_adj, self.vertex_weights))
 
     def __repr__(self) -> str:
         return (
             f"Digraph(n={self.vertex_count}, root={self.root}, "
-            f"arcs={len(self.arcs)}, weighted={self.vertex_weights is not None})"
+            f"arcs={sum(map(len, self.out_adj))}, weighted={self.vertex_weights is not None})"
         )
 
 
@@ -152,10 +155,12 @@ def build_digraph(
     """Build and validate a rooted DAG.
 
     Raises:
-        MalformedInput: ids out of range, self-loops, duplicate arcs, or a
-            weights list of the wrong shape.
+        MalformedInput: an arc that is not a pair of integers, ids out of
+            range, self-loops, duplicate arcs, or a weights list of the wrong
+            shape.
         CycleDetected: the arc set contains a directed cycle.
-        NotRooted: some vertex is unreachable from ``root``.
+        NotRooted: some vertex is unreachable from ``root``, or there are
+            fewer than ``vertex_count - 1`` arcs.
     """
     return Digraph(vertex_count, root, arcs, weights)
 

@@ -5,7 +5,8 @@ The JSON instance format is::
     { "version": 1, "n": int, "root": int, "arcs": [[t, h], ...],
       "weights": [int, ...]?, "provenance": str? }
 
-Arcs are written in lexicographic order, so writers are byte-stable.
+Writers emit one line of compact JSON with sorted keys and the arcs in
+lexicographic order, so they are byte-stable; readers take any layout.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     ParseError,
 )
 from .graph import Arc, Digraph, build_digraph
+from .matching import _normalize_edges
 
 PathLike = Union[str, Path]
 
@@ -43,14 +45,9 @@ class UndirectedGraphInstance:
     ) -> "UndirectedGraphInstance":
         if vertex_count < 0:
             raise MalformedInput("vertex_count must be nonnegative")
-        normalized: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise MalformedInput(f"edge ({u}, {v}) out of range")
-            if u == v:
-                raise MalformedInput(f"self-loop at vertex {u}")
-            normalized.add((u, v) if u < v else (v, u))
-        return cls(vertex_count, tuple(sorted(normalized)))
+        # repeats merge in either orientation; the matching's edge check does the rest
+        normalized = {(u, v) if u < v else (v, u) for u, v in edges}
+        return cls(vertex_count, tuple(_normalize_edges(vertex_count, normalized)))
 
 
 def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Digraph:
@@ -183,7 +180,7 @@ def _reduced_shape(d: Digraph) -> tuple[int, int]:
             raise NotReducedInstance(f"vertex {e} is not a valid edge vertex")
         if any(not 1 <= u <= n for u in d.in_adj[e]):
             raise NotReducedInstance(f"edge vertex {e} has a non-graph in-neighbor")
-    if len(d.arcs) != n + 2 * m:
+    if sum(map(len, d.out_adj)) != n + 2 * m:
         raise NotReducedInstance("arc count does not match n + 2m")
     return n, m
 
@@ -208,13 +205,13 @@ def write_instance(
         "version": 1,
         "n": d.vertex_count,
         "root": d.root,
-        "arcs": [list(a) for a in d.arcs],
+        "arcs": [[u, v] for u, heads in enumerate(d.out_adj) for v in heads],
     }
     if d.vertex_weights is not None:
         obj["weights"] = list(d.vertex_weights)
     if provenance is not None:
         obj["provenance"] = provenance
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def read_json_object(path: PathLike) -> dict:
@@ -223,8 +220,9 @@ def read_json_object(path: PathLike) -> dict:
         obj = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # a JSONDecodeError, an integer too long to convert, or nesting too deep
+        raise ParseError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return obj
@@ -239,20 +237,11 @@ def read_instance(path: PathLike) -> Digraph:
     for field_name, kind in (("n", int), ("root", int), ("arcs", list)):
         if type(obj.get(field_name)) is not kind:
             raise ParseError(f"{path}: field '{field_name}' missing or wrong type")
-    arcs = []
-    for i, pair in enumerate(obj["arcs"]):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(type(x) is int for x in pair)
-        ):
-            raise ParseError(f"{path}: arcs[{i}] is not an [int, int] pair")
-        arcs.append((pair[0], pair[1]))
     weights = obj.get("weights")
     if weights is not None and not isinstance(weights, list):
         raise ParseError(f"{path}: field 'weights' must be a list of integers")
     try:
-        return build_digraph(obj["n"], obj["root"], arcs, weights)
+        return build_digraph(obj["n"], obj["root"], obj["arcs"], weights)
     except LeafspanError as e:
         # the original CycleDetected / NotRooted / MalformedInput stays as cause
         raise ParseError(f"{path}: {e}") from e

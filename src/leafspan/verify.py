@@ -52,6 +52,11 @@ def read_solution(path: PathLike) -> dict:
     return obj
 
 
+def _same(recorded: object, expected: object) -> bool:
+    """Equal in type and value, so JSON true/false cannot stand in for 1/0."""
+    return type(recorded) is type(expected) and recorded == expected
+
+
 def verify_solution(d: Digraph, solution: dict) -> list[str]:
     """Return a list of diagnostics; an empty list means the solution verifies."""
     problems: list[str] = []
@@ -67,7 +72,7 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
     if not t.is_spanning_arborescence():
         return ["parent array is not a spanning arborescence"]
 
-    if solution.get("leaf_count") != t.leaf_count:
+    if not _same(solution.get("leaf_count"), t.leaf_count):
         problems.append(f"leaf_count is {solution.get('leaf_count')}, recount gives {t.leaf_count}")
 
     report = solution.get("report")
@@ -99,7 +104,7 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
 
     expected = SolveReport.from_phases(pipeline, phases, counts)
     for key, value in expected.to_dict().items():
-        if report.get(key) != value:
+        if not _same(report.get(key), value):
             problems.append(f"report {key} is {report.get(key)!r}, recomputation gives {value!r}")
     problems += [f"certificate inequality fails: {name}"
                  for name, holds in expected.inequalities.items() if not holds]

@@ -6,6 +6,7 @@ import pytest
 from leafspan import (
     Branching,
     IllegalExpansion,
+    MalformedInput,
     NotTBranching,
     build_digraph,
 )
@@ -168,3 +169,18 @@ def test_stats_match_independent_recount_on_random_expansions():
         )
         assert s.arcs == s.N - s.k
         assert s.components == s.n - s.N + s.k
+
+
+@pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1)])
+def test_from_arcs_rejects_arcs_outside_the_host(arc):
+    # -1 must not index in_adj from the end: (0, -1) would match host arc (0, 2)
+    d = build_digraph(3, 0, [(0, 1), (0, 2)])
+    with pytest.raises(MalformedInput, match="not in host"):
+        Branching.from_arcs(d, [arc])
+
+
+def test_from_arcs_rejects_a_second_parent():
+    d = build_digraph(3, 0, [(0, 1), (0, 2), (1, 2)])
+    with pytest.raises(MalformedInput, match="two parents"):
+        Branching.from_arcs(d, [(0, 2), (1, 2)])
+    assert Branching.from_arcs(d, [(1, 2), (0, 1)]).parent == [None, 0, 1]

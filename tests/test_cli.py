@@ -282,3 +282,33 @@ def test_bench_runs_the_oracle_once_per_instance(tmp_path, monkeypatch):
         rows = list(csv.DictReader(handle))
     assert [r["certificate_ok"] for r in rows] == ["True"] * 6
     assert all(r["lb_lemma4"] and r["ub_lemma5"] for r in rows[2::3])
+
+
+def test_boolean_forgery_fails_verify(tmp_path, capsys):
+    inst = tmp_path / "path.json"
+    inst.write_text('{"version":1,"n":3,"root":0,"arcs":[[0,1],[1,2]]}')
+    sol = tmp_path / "f.json"
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst), "--output", str(sol)) == 0
+    obj = json.loads(sol.read_text())
+    assert (obj["leaf_count"], obj["report"]["certificate_ok"], obj["report"]["k1"]) == (1, True, 0)
+    obj["leaf_count"] = True
+    obj["report"].update(leaf_count=True, certificate_ok=1, k1=False)
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert "verify: leaf_count is True" in err
+    for key in ("leaf_count", "certificate_ok", "k1"):
+        assert f"verify: report {key} is" in err
+
+
+@pytest.mark.parametrize("bad", ["minus_one", "n", "n_plus_5", "non_host_tail"])
+def test_bad_parent_entry_fails_verify(tmp_path, capsys, bad):
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=12, p=0.3, seed=2)
+    d = leafspan.cli.read_instance(inst)
+    n = d.vertex_count
+    parent = obj["parent"]
+    victim = next(v for v, p in enumerate(parent) if p is not None)
+    if bad == "non_host_tail":
+        tail = next(u for u in range(n) if u != victim and u not in d.in_adj[victim])
+    else:
+        tail = {"minus_one": -1, "n": n, "n_plus_5": n + 5}[bad]
+    parent[victim] = tail
+    assert "parent array invalid" in verify_diagnostics(capsys, inst, sol, obj)

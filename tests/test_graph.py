@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -38,6 +39,11 @@ def test_unreachable_vertex_rejected():
         (3, 0, [(0, 1), (0, 3)]),  # head out of range
         (3, 5, [(0, 1), (0, 2)]),  # root out of range
         (0, 0, []),  # empty graph
+        (4, 0, [(0, 2), (0, 1), (1, 3), (0, 2)]),  # duplicate arc, apart in the input
+    ] + [
+        (3, 0, [(0, 2), arc])  # not a pair of ints; bools are not ints here
+        for arc in [(0, True), [False, 1], (0, 1.0), ("0", 1), (0,), (0, 1, 2), 0, None, "01",
+                    [0, [1]]]
     ],
 )
 def test_malformed_inputs(n, root, arcs):
@@ -121,3 +127,30 @@ def test_rootedness_agrees_with_bfs_count():
                     seen.add(u)
                     queue.append(u)
         assert len(seen) == d.vertex_count
+
+
+def _same_graph(a, b):
+    assert a == b and hash(a) == hash(b)
+    assert (a.arcs, a.out_adj, a.in_adj, a.order) == (b.arcs, b.out_adj, b.in_adj, b.order)
+
+
+def test_arc_order_and_container_do_not_matter():
+    rng = random.Random(3)
+    for d in random_dag_corpus(30, 1, 40, seed=13):
+        arcs = list(d.arcs)
+        assert arcs == sorted(arcs)
+        shuffled = arcs[:]
+        rng.shuffle(shuffled)
+        n, root = d.vertex_count, d.root
+        _same_graph(d, build_digraph(n, root, arcs))
+        _same_graph(d, build_digraph(n, root, shuffled))
+        _same_graph(d, build_digraph(n, root, [[u, v] for u, v in shuffled]))
+        _same_graph(d, build_digraph(n, root, (arc for arc in shuffled)))
+
+
+@pytest.mark.parametrize("arcs", [[], [(0, 1)], iter([(0, 1), (0, 5)])])
+def test_too_few_arcs_is_not_rooted(arcs):
+    # checked before the arcs themselves, so a bad arc in a short list
+    # reports NotRooted
+    with pytest.raises(NotRooted):
+        build_digraph(4, 0, arcs)

@@ -24,7 +24,7 @@ from leafspan import (
     write_dot,
     write_instance,
 )
-from oracles import brute_force_max_independent_set
+from oracles import brute_force_max_independent_set, random_dag_corpus
 
 
 def random_undirected(rng, n, p):
@@ -208,6 +208,23 @@ class TestSerialization:
         write_instance(d, p, provenance="random n=25 p=0.3 seed=11")
         assert read_instance(p) == d
 
+    def test_round_trip_on_random_corpus(self, tmp_path):
+        p = tmp_path / "i.json"
+        for d in random_dag_corpus(40, 1, 60, seed=21):
+            write_instance(d, p)
+            back = read_instance(p)
+            assert back == d and hash(back) == hash(d)
+            assert (back.arcs, back.out_adj, back.in_adj, back.order) == (
+                d.arcs, d.out_adj, d.in_adj, d.order)
+
+    def test_written_as_one_line_of_compact_json(self, tmp_path):
+        d = build_digraph(4, 0, [(0, 2), (0, 1), (1, 3), (2, 3)])
+        p = tmp_path / "i.json"
+        write_instance(d, p)
+        assert p.read_text() == (
+            '{"arcs":[[0,1],[0,2],[1,3],[2,3]],"n":4,"root":0,"version":1}\n'
+        )
+
     def test_weighted_round_trip(self, tmp_path):
         g = UndirectedGraphInstance.build(3, [(0, 1)])
         d = reduce_independent_set(g)
@@ -271,6 +288,17 @@ class TestSerialization:
             '{"version": 1, "n": 2, "root": false, "arcs": [[0, 1]]}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[false, true]]}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[0, 1]], "weights": [1, true]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [[0, 1.0]]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [[0, [1]]]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [{"0": 1, "1": 0}]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": ["01"]}',
+            '{"version": 1, "n": 2, "root": 0, "arcs": [null]}',
+            '{"version": 1, "n": 3, "root": 0, "arcs": [[0, 1], [0, 1]]}',
+            '{"version": 1, "n": 3, "root": 0, "arcs": [[0, 1], [1, 1]]}',
+            '{"version": 1, "n": 3, "root": 0, "arcs": [[0, 1], [-1, 2]]}',
+            pytest.param("[" * 100_000, id="nested-deeper-than-the-decoder-recurses"),
+            pytest.param('{"version": 1, "n": ' + "1" * 5000 + ', "root": 0, "arcs": []}',
+                         id="int-too-long-to-convert"),
         ],
     )
     def test_parse_error_shapes(self, tmp_path, body):
