@@ -9,7 +9,6 @@ doubles as a validator against counter drift.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -59,8 +58,9 @@ class Branching:
         b = cls(host)
         n = host.vertex_count
         for u, v in arcs:
-            # O(in-degree); the range check stops a negative v indexing from the end
-            if not (0 <= v < n and u in host.in_adj[v]):
+            # O(in-degree); type() keeps True and 1.0 from passing for 1, and
+            # the range check stops a negative v indexing from the end
+            if not (type(u) is int and type(v) is int and 0 <= v < n and u in host.in_adj[v]):
                 raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
             if b.parent[v] is not None:
                 raise MalformedInput(f"vertex {v} has two parents")
@@ -147,30 +147,28 @@ class Branching:
         return sum(w[v] for v in range(self.host.vertex_count) if self.out_degree[v] == 0)
 
     def stats(self) -> BranchingStats:
-        """Recompute all counters from scratch by following parent pointers.
+        """Recompute all counters from scratch from ``parent`` and ``out_degree``.
 
-        A parent precedes its children in the host's topological order, so
-        one pass in that order finds the top vertex of every component.
+        Every arc is a host arc and the host is acyclic, so following parents
+        from any vertex ends at a parentless one: each component has exactly
+        one parentless vertex, and it is a singleton iff that vertex has
+        out-degree 0.
         """
-        top = list(range(self.host.vertex_count))
-        for v in self.host.order:
-            p = self.parent[v]
-            if p is not None:
-                top[v] = top[p]
-        sizes = Counter(top).values()
-        big = [s for s in sizes if s >= 2]
+        n = self.host.vertex_count
+        components = self.parent.count(None)
+        isolated = [d for p, d in zip(self.parent, self.out_degree) if p is None].count(0)
         return BranchingStats(
-            n=self.host.vertex_count,
-            N=sum(big),
-            k=len(big),
+            n=n,
+            N=n - isolated,
+            k=components - isolated,
             leaves=self.out_degree.count(0),
-            components=len(sizes),
-            arcs=self.host.vertex_count - len(sizes),
+            components=components,
+            arcs=n - components,
         )
 
     def is_t_branching(self, t: int) -> bool:
         """True iff every internal vertex has out-degree at least ``t``."""
-        return all(d == 0 or d >= t for d in self.out_degree)
+        return min(filter(None, self.out_degree), default=t) >= t
 
     def is_maximal(self, t: int) -> bool:
         """True iff no out-degree-0 vertex can still make a ``t``-expansion.

@@ -1,10 +1,14 @@
 """Immutable rooted-DAG representation with validation and a deterministic order.
 
 Vertices are dense integer ids ``0..n-1``.  Construction is the one place
-arcs are validated: one pass files each arc into the adjacency lists, the
-only copy kept.  The graph must be simple, acyclic and rooted; the Kahn pass
-that checks this computes the smallest-id-first topological order, which
-every solver phase then reuses.  Instances are immutable and safe to share.
+arcs are validated: one pass checks each arc and files it under its tail.
+Each tail list is then sorted, and one walk over the tails in ascending
+order files every arc under its head too, so the head lists come out sorted
+and a duplicate arc shows as a head equal to the one before it.  The sorted
+tuples are the only copy of the arcs kept.  The graph must be simple,
+acyclic and rooted; the Kahn pass that checks this computes the
+smallest-id-first topological order, which every solver phase then reuses.
+Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ class Digraph:
     Attributes:
         vertex_count: number of vertices ``n``.
         root: vertex from which every vertex is reachable.
-        out_adj / in_adj: per-vertex sorted adjacency tuples; the only
-            stored copy of the arcs.
+        out_adj / in_adj: per-vertex adjacency tuples in ascending order;
+            the only stored copy of the arcs.  ``in_adj`` is derived from
+            ``out_adj``, never sorted on its own.
         vertex_weights: optional per-vertex nonnegative integer weights,
             used only by the vertex-weighted leaf objective.
         order: topological order; among ready vertices the smallest id
@@ -59,10 +64,9 @@ class Digraph:
             if any(type(w) is not int or w < 0 for w in weights):
                 raise MalformedInput("weights must be nonnegative integers")
 
-        # the one validation pass: each arc goes straight into the adjacency
+        # the one validation pass: each arc goes straight into its tail's list
         bad = f"is not a pair of distinct integer vertex ids in [0, {vertex_count})"
         out_adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        in_adj: list[list[int]] = [[] for _ in range(vertex_count)]
         for arc in arcs:
             try:
                 u, v = arc
@@ -73,19 +77,26 @@ class Digraph:
                     or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
                 raise MalformedInput(f"arc {arc!r:.60} {bad}")
             out_adj[u].append(v)
-            in_adj[v].append(u)
+
+        # ascending tails append each head list in order, so in_adj needs no sort
+        in_adj: list[list[int]] = [[] for _ in range(vertex_count)]
+        for u, heads in enumerate(out_adj):
+            if len(heads) > 1:
+                heads.sort()
+            prev = -1
+            for v in heads:
+                if v == prev:
+                    raise MalformedInput(f"duplicate arc ({u}, {v})")
+                in_adj[v].append(u)
+                prev = v
 
         self.vertex_count = vertex_count
         self.root = root
         # built from lists, not generators: CPython grows a tuple built from a
         # generator by realloc, so the size-n tuples freed with each graph
         # would pile up on its tuple free lists (about 3 MB) until a full gc
-        self.out_adj = tuple([tuple(sorted(a)) for a in out_adj])
-        self.in_adj = tuple([tuple(sorted(a)) for a in in_adj])
-        for u, heads in enumerate(self.out_adj):
-            for i in range(1, len(heads)):
-                if heads[i] == heads[i - 1]:
-                    raise MalformedInput(f"duplicate arc ({u}, {heads[i]})")
+        self.out_adj = tuple(list(map(tuple, out_adj)))
+        self.in_adj = tuple(list(map(tuple, in_adj)))
         self.vertex_weights = tuple(weights) if weights is not None else None
 
         self.order = self._validated_order()
@@ -97,17 +108,19 @@ class Digraph:
         the graph is rooted iff the root is the only one.
         """
         n = self.vertex_count
-        indeg = [len(a) for a in self.in_adj]
+        out_adj = self.out_adj
+        heappop, heappush = heapq.heappop, heapq.heappush
+        indeg = list(map(len, self.in_adj))
         sources = [v for v in range(n) if indeg[v] == 0]
         ready = list(sources)  # ascending, so already a heap
         order: list[int] = []
         while ready:
-            v = heapq.heappop(ready)
+            v = heappop(ready)
             order.append(v)
-            for u in self.out_adj[v]:
+            for u in out_adj[v]:
                 indeg[u] -= 1
                 if indeg[u] == 0:
-                    heapq.heappush(ready, u)
+                    heappush(ready, u)
         if len(order) != n:
             raise CycleDetected("input contains a directed cycle")
         if sources != [self.root]:

@@ -3,13 +3,17 @@ from collections import deque
 
 import pytest
 
+import leafspan.cli
 from leafspan import (
     Branching,
     IllegalExpansion,
     MalformedInput,
     NotTBranching,
+    TooLarge,
     build_digraph,
 )
+from leafspan.certificates import PIPELINES
+from leafspan.verify import verify_solution
 from oracles import random_dag_corpus
 
 
@@ -58,6 +62,21 @@ def recount_stats(b):
         "leaves": sum(1 for d in out_deg if d == 0),
         "arcs": len(b.arcs()),
     }
+
+
+def assert_stats_match_recount(b):
+    s = b.stats()
+    oracle = recount_stats(b)
+    assert (s.N, s.k, s.components, s.leaves, s.arcs) == (
+        oracle["N"],
+        oracle["k"],
+        oracle["components"],
+        oracle["leaves"],
+        oracle["arcs"],
+    )
+    assert s.n == b.host.vertex_count
+    assert s.arcs == s.N - s.k
+    assert s.components == s.n - s.N + s.k
 
 
 def test_empty_branching_single_vertex():
@@ -158,22 +177,49 @@ def test_stats_match_independent_recount_on_random_expansions():
             heads = b.available_heads(v)
             take = rng.sample(heads, rng.randint(1, len(heads)))
             b._expand(v, take)
-        s = b.stats()
-        oracle = recount_stats(b)
-        assert (s.N, s.k, s.components, s.leaves, s.arcs) == (
-            oracle["N"],
-            oracle["k"],
-            oracle["components"],
-            oracle["leaves"],
-            oracle["arcs"],
-        )
-        assert s.arcs == s.N - s.k
-        assert s.components == s.n - s.N + s.k
+        assert_stats_match_recount(b)
 
 
-@pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1)])
+def test_stats_match_independent_recount_without_arcs():
+    assert_stats_match_recount(Branching(build_digraph(1, 0, [])))
+    for d in random_dag_corpus(20, 1, 30, seed=19):
+        assert_stats_match_recount(Branching(d))
+
+
+def test_stats_match_independent_recount_on_every_phase_solved_and_verified(monkeypatch):
+    # every branching the four approximate pipelines report on, and every
+    # phase prefix verify rebuilds from the solution, goes through stats()
+    seen = []
+    stats = Branching.stats
+
+    def recorded_stats(b):
+        seen.append(b.copy())
+        return stats(b)
+
+    monkeypatch.setattr(Branching, "stats", recorded_stats)
+    for d in random_dag_corpus(30, 1, 40, seed=23):
+        for name in ("maxleaves", "expansion2", "w3dm-greedy", "w3dm-exact"):
+            pipeline = PIPELINES[name]
+            try:
+                t, report = pipeline.solve(leafspan.cli, d)
+            except TooLarge:
+                continue
+            solution = {"parent": t.parent, "phase": report.phase,
+                        "leaf_count": report.leaf_count, "report": report.to_dict()}
+            assert verify_solution(d, solution) == []
+    monkeypatch.undo()
+    assert len(seen) > 200
+    for b in seen:
+        assert_stats_match_recount(b)
+        for t in range(1, 6):
+            assert b.is_t_branching(t) == all(d == 0 or d >= t for d in b.out_degree)
+
+
+@pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1),
+                                 (False, 1), (0.0, 2), (0, 2.0), (0, True)])
 def test_from_arcs_rejects_arcs_outside_the_host(arc):
-    # -1 must not index in_adj from the end: (0, -1) would match host arc (0, 2)
+    # -1 must not index in_adj from the end: (0, -1) would match host arc (0, 2);
+    # False and 0.0 compare equal to the tail 0 but are not vertex ids
     d = build_digraph(3, 0, [(0, 1), (0, 2)])
     with pytest.raises(MalformedInput, match="not in host"):
         Branching.from_arcs(d, [arc])

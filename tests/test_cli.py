@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 import leafspan.cli
+from leafspan import build_digraph
 from leafspan.certificates import PIPELINES, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, main
+from leafspan.solvers import max_leaves
+from leafspan.verify import verify_solution
 
 
 def run(*argv):
@@ -312,3 +315,17 @@ def test_bad_parent_entry_fails_verify(tmp_path, capsys, bad):
         tail = {"minus_one": -1, "n": n, "n_plus_5": n + 5}[bad]
     parent[victim] = tail
     assert "parent array invalid" in verify_diagnostics(capsys, inst, sol, obj)
+
+
+@pytest.mark.parametrize("tail", [True, 1.0])
+def test_library_verify_rejects_non_integer_parents(tail):
+    # read_solution rejects these in files; verify_solution takes a dict as is
+    d = build_digraph(5, 0, [(0, 1), (1, 2), (1, 3), (1, 4), (0, 2)])
+    t, report = max_leaves(d)
+    assert t.parent == [None, 0, 1, 1, 1]
+    solution = {"version": 2, "parent": t.parent, "phase": report.phase,
+                "leaf_count": report.leaf_count, "report": report.to_dict()}
+    assert verify_solution(d, solution) == []
+    solution["parent"] = [None, 0, tail, tail, tail]
+    assert verify_solution(d, solution) == [
+        f"parent array invalid: arc ({tail}, 2) not in host digraph"]
