@@ -36,8 +36,8 @@ class BranchingStats:
 class Branching:
     """Mutable branching value; solver phases copy before mutating.
 
-    The public :meth:`add_expansion` is persistent (returns a new value);
-    in-place mutation is reserved for owners of a private copy.
+    In-place mutation (``_expand``, ``_attach``) is reserved for owners of a
+    private copy.
     """
 
     __slots__ = ("host", "parent", "out_degree")
@@ -115,16 +115,6 @@ class Branching:
         for h in heads:
             self.parent[h] = v
         self.out_degree[v] = len(heads)
-
-    def add_expansion(self, v: int, heads: Sequence[int]) -> "Branching":
-        """Return a new branching with all arcs ``(v, h)`` added.
-
-        Preconditions: ``v`` has out-degree 0 here, every ``(v, h)`` is a host
-        arc, and every head currently has in-degree 0.
-        """
-        b = self.copy()
-        b._expand(v, heads)
-        return b
 
     def _attach(self, p: int, v: int) -> None:
         """Add a single arc (p, v); used by the final attachment phase."""

@@ -106,17 +106,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except TooLarge:
             opt = None  # never estimated: the opt and ratio cells stay empty
         for algo in algos:
+            row = {"instance": path.name, "algorithm": algo, "n": d.vertex_count}
+            rows.append(row)
             start = time.perf_counter()
-            _, report = _run_algorithm(d, PIPELINES[algo])
+            try:
+                _, report = _run_algorithm(d, PIPELINES[algo])
+            except TooLarge as e:
+                # like opt: a refused run leaves its cells empty, never estimated
+                print(f"bench: {path.name} {algo} refused: {e}", file=sys.stderr)
+                continue
             millis = (time.perf_counter() - start) * 1000.0
-            row = {"instance": path.name, "algorithm": algo, "n": d.vertex_count,
-                   "leaves": report.leaf_count, "certificate_ok": report.certificate_ok,
-                   "millis": f"{millis:.3f}"}
+            row.update(leaves=report.leaf_count, certificate_ok=report.certificate_ok,
+                       millis=f"{millis:.3f}")
             row.update((name, str(value)) for name, value in report.bounds.items())
             if opt is not None:
                 row["opt"] = str(opt)
                 row["ratio"] = str(Fraction(opt, report.leaf_count))
-            rows.append(row)
     with open(args.csv, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=CSV_HEADER, restval="")
         writer.writeheader()

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import stat
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -211,7 +213,27 @@ def write_instance(
         obj["weights"] = list(d.vertex_weights)
     if provenance is not None:
         obj["provenance"] = provenance
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_object(path, obj)
+
+
+def _write_in_place(path: PathLike, data: bytes) -> None:
+    """Overwrite ``path`` with ``data``, then trim the file to their length.
+
+    Opening with ``O_TRUNC``, as ``open(path, "w")`` does, empties the file
+    first, and ext4 (``auto_da_alloc``) starts writeback when a file
+    truncated to zero is closed, about a millisecond per rewrite.  Trimming
+    to a nonzero length does not.  Only regular files are trimmed, since ``ftruncate`` fails on
+    devices and pipes such as ``/dev/null``.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
+
+
+def write_json_object(path: PathLike, obj: dict) -> None:
+    """Write ``obj`` as one line of compact JSON with sorted keys; see `read_json_object`."""
+    _write_in_place(path, (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode())
 
 
 def read_json_object(path: PathLike) -> dict:
@@ -270,4 +292,4 @@ def write_dot(
         style = " [style=bold, penwidth=2]" if (u, v) in chosen else ""
         lines.append(f"  {u} -> {v}{style};")
     lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_in_place(path, ("\n".join(lines) + "\n").encode())

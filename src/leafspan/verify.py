@@ -15,15 +15,13 @@ certificate's inequalities check them.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Optional
 
 from .branching import Branching
 from .certificates import PIPELINES, SolveReport
 from .errors import LeafspanError, ParseError
 from .graph import Digraph
-from .instances import PathLike, read_json_object
+from .instances import PathLike, read_json_object, write_json_object
 
 VERSION = 2
 
@@ -36,7 +34,7 @@ def write_solution(path: PathLike, report: SolveReport, parent: list[Optional[in
         "leaf_count": report.leaf_count,
         "report": report.to_dict(),
     }
-    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    write_json_object(path, obj)
 
 
 def read_solution(path: PathLike) -> dict:

@@ -2,7 +2,7 @@
 
 Each is guarded: it raises TooLarge above a size where exhaustive search
 stops being cheap.  `random_dag_corpus` and `random_edges` supply seeded
-inputs for property tests.
+inputs for property tests, and `add_expansion` builds branchings by hand.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from leafspan import Digraph, TooLarge, UndirectedGraphInstance, gen_random_rooted_dag
+from leafspan import Branching, Digraph, TooLarge, UndirectedGraphInstance, gen_random_rooted_dag
 from leafspan.matching import Edge, _normalize_edges
 
 BRUTE_FORCE_EDGE_LIMIT = 25
@@ -122,3 +122,14 @@ def random_edges(rng: random.Random, n: int, m: int) -> list[Edge]:
         if u != v:
             edges[(min(u, v), max(u, v))] = None
     return list(edges)
+
+
+def add_expansion(b: Branching, v: int, heads: Sequence[int]) -> Branching:
+    """A copy of ``b`` with every arc ``(v, h)`` added.
+
+    Preconditions: ``v`` has out-degree 0 in ``b``, every ``(v, h)`` is a host
+    arc, and every head has in-degree 0; a violation raises IllegalExpansion.
+    """
+    b = b.copy()
+    b._expand(v, heads)
+    return b

@@ -14,7 +14,7 @@ from leafspan import (
 )
 from leafspan.certificates import PIPELINES
 from leafspan.verify import verify_solution
-from oracles import random_dag_corpus
+from oracles import add_expansion, random_dag_corpus
 
 
 def star(k):
@@ -100,37 +100,37 @@ def test_empty_branching_is_t_branching_for_all_t():
 def test_add_expansion_star():
     d = star(3)
     b = Branching(d)
-    b2 = b.add_expansion(0, [1, 2, 3])
+    b2 = add_expansion(b, 0, [1, 2, 3])
     assert b2.stats().leaves == 3
     assert b.stats().leaves == 4  # original untouched
 
 
 def test_repeat_expansion_rejected():
     d = star(3)
-    b = Branching(d).add_expansion(0, [1, 2, 3])
+    b = add_expansion(Branching(d), 0, [1, 2, 3])
     with pytest.raises(IllegalExpansion):
-        b.add_expansion(0, [1, 2, 3])
+        add_expansion(b, 0, [1, 2, 3])
 
 
 def test_expansion_precondition_messages():
     d = build_digraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 1)])
     b = Branching(d)
     with pytest.raises(IllegalExpansion, match="not a host arc"):
-        b.add_expansion(0, [3])
+        add_expansion(b, 0, [3])
     with pytest.raises(IllegalExpansion, match="duplicate"):
-        b.add_expansion(0, [1, 1])
+        add_expansion(b, 0, [1, 1])
     with pytest.raises(IllegalExpansion, match="at least one head"):
-        b.add_expansion(0, [])
-    taken = b.add_expansion(0, [1, 2])
+        add_expansion(b, 0, [])
+    taken = add_expansion(b, 0, [1, 2])
     with pytest.raises(IllegalExpansion, match="already has a parent"):
-        taken.add_expansion(2, [1])
+        add_expansion(taken, 2, [1])
     with pytest.raises(IllegalExpansion, match="already internal"):
-        taken.add_expansion(0, [1])
+        add_expansion(taken, 0, [1])
 
 
 def test_path_expansion_gives_spanning_arborescence():
     d = path(3)
-    b = Branching(d).add_expansion(0, [1]).add_expansion(1, [2])
+    b = add_expansion(add_expansion(Branching(d), 0, [1]), 1, [2])
     assert b.is_spanning_arborescence()
     assert b.stats().leaves == 1
 
@@ -141,7 +141,7 @@ def test_empty_branching_not_spanning_arborescence():
 
 def test_is_t_branching():
     d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 3), (1, 4)])
-    b = Branching(d).add_expansion(0, [1, 2]).add_expansion(1, [3, 4])
+    b = add_expansion(add_expansion(Branching(d), 0, [1, 2]), 1, [3, 4])
     assert b.is_t_branching(2)
     assert not b.is_t_branching(3)
 
@@ -157,7 +157,7 @@ def test_is_maximal_star():
 
 def test_is_maximal_requires_t_branching():
     d = star(3)
-    b = Branching(d).add_expansion(0, [1, 2, 3])
+    b = add_expansion(Branching(d), 0, [1, 2, 3])
     with pytest.raises(NotTBranching):
         b.is_maximal(4)
 

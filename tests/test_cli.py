@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,51 @@ def test_solve_writes_dot(tmp_path):
     assert run("solve", "--algo", "maxleaves", "--input", str(inst),
                "--output", str(sol), "--dot", str(dot)) == 0
     assert dot.read_text().startswith("digraph")
+
+
+def solve_into(tmp_path, inst, prefix):
+    sol, dot = tmp_path / f"{prefix}sol.json", tmp_path / f"{prefix}sol.dot"
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst),
+               "--output", str(sol), "--dot", str(dot)) == 0
+    return sol, dot
+
+
+def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    fresh = [gen_random(tmp_path, "fresh.json")]
+    fresh += solve_into(tmp_path, fresh[0], "fresh-")
+    stale = [tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "sol.dot"]
+    for old, new in zip(stale, fresh):
+        old.write_bytes(b"x" * (3 * len(new.read_bytes())))
+    gen_random(tmp_path, "inst.json")
+    solve_into(tmp_path, stale[0], "")
+    for old, new in zip(stale, fresh):
+        assert old.read_bytes() == new.read_bytes()
+
+
+def test_writing_to_a_device_exits_0(tmp_path):
+    inst = gen_random(tmp_path)
+    assert run("gen", "--generator", "random", "--out", os.devnull) == 0
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst),
+               "--output", os.devnull, "--dot", os.devnull) == 0
+
+
+def test_writers_never_empty_a_file_before_rewriting_it(tmp_path, monkeypatch):
+    # the output bytes are the same either way; only the open flags show
+    # whether the file was truncated to zero, which costs a disk flush on ext4
+    opened = []
+    os_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):  # the second round rewrites every file
+        inst = gen_random(tmp_path)
+        sol, dot = solve_into(tmp_path, inst, "")
+    paths = [path for path, _ in opened]
+    assert [paths.count(str(p)) for p in (inst, sol, dot)] == [2, 2, 2]
+    assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 
 def test_tampered_solution_fails_verify(tmp_path, capsys):
@@ -143,6 +189,26 @@ def test_bench_large_instance_leaves_opt_empty(tmp_path):
     with open(out, newline="") as handle:
         record = list(csv.DictReader(handle))[0]
     assert record["opt"] == "" and record["ratio"] == ""
+
+
+def test_bench_keeps_every_row_when_an_exact_run_is_refused(tmp_path, capsys):
+    indir = tmp_path / "instances"
+    indir.mkdir()
+    gen_random(indir, "big.json", n=40, p=0.4, seed=1)
+    gen_random(indir, "small.json", n=10, p=0.3, seed=1)
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--input-dir", str(indir),
+               "--algos", "maxleaves,exact", "--csv", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "bench: big.json exact refused: search space exceeds 100000000 parent functions\n")
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["instance"], r["algorithm"], r["n"]) for r in rows] == [
+        ("big.json", "maxleaves", "40"), ("big.json", "exact", "40"),
+        ("small.json", "maxleaves", "10"), ("small.json", "exact", "10")]
+    assert [key for key in CSV_HEADER if rows[1][key]] == ["instance", "algorithm", "n"]
+    assert rows[0]["leaves"] and rows[0]["opt"] == ""
+    assert rows[3]["leaves"] == rows[3]["opt"] and rows[3]["certificate_ok"] == "True"
 
 
 def test_bench_rejects_unknown_algorithm(tmp_path):
