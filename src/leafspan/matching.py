@@ -21,8 +21,9 @@ def _normalize_edges(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
     out: list[Edge] = []
     seen: set[Edge] = set()
     for u, v in edges:
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise MalformedInput(f"edge ({u}, {v}) out of range [0, {vertex_count})")
+        # type() rather than isinstance(): True/False must not pass as 1/0
+        if not (type(u) is type(v) is int and 0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise MalformedInput(f"edge {(u, v)!r:.60} is not a pair of ids in [0, {vertex_count})")
         if u == v:
             raise MalformedInput(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
@@ -121,7 +122,8 @@ def _blossom_match(n: int, adj: list[list[int]]) -> list[int]:
         return False
 
     for v in range(n):
-        if match[v] < 0:
+        # a search from a vertex without edges reaches nothing
+        if match[v] < 0 and adj[v]:
             find_path(v)
             for i in touched:
                 p[i] = -1

@@ -10,28 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import TooLarge
 
 EXACT_SET_LIMIT = 40
 
 
-@dataclass(frozen=True)
-class PackSet:
-    """One selectable set: its member ids, weight, and originating candidate."""
+class PackSet(NamedTuple):
+    """One selectable set: its member ids, weight, and originating candidate.
 
-    members: frozenset[int]
+    ``members`` holds distinct ids in ascending order; packers rely on it.
+    """
+
+    members: tuple[int, ...]
     weight: int
     candidate: int
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 def _order_key(s: PackSet) -> tuple:
     # descending weight, then ascending candidate id, then member ids
-    return (-s.weight, s.candidate, s.sorted_members())
+    return (-s.weight, s.candidate, s.members)
 
 
 def pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
@@ -50,7 +49,7 @@ def pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
 
 
 def _selection_sig(sel: Sequence[PackSet]) -> tuple:
-    return tuple(sorted((s.sorted_members(), s.candidate) for s in sel))
+    return tuple(sorted((s.members, s.candidate) for s in sel))
 
 
 def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:

@@ -17,7 +17,6 @@ order, so identical inputs give identical outputs.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
 from typing import Optional
 
 from .branching import Branching
@@ -147,29 +146,27 @@ def max_leaves_packing(
     """
     f1 = greedy_expand(d, 4, Branching(d))
 
+    # heads come ascending (out_adj is sorted), as PackSet.members must be
     sets: list[PackSet] = []
     for v in topological_order(d):
         if f1.out_degree[v] == 0:
             heads = f1.available_heads(v)
             if 2 <= len(heads) <= 3:
-                sets.append(PackSet(frozenset(heads), len(heads) - 1, v))
+                sets.append(PackSet(tuple(heads), len(heads) - 1, v))
                 if len(heads) == 3:
-                    sets += [PackSet(frozenset(sub), 1, v) for sub in combinations(heads, 2)]
+                    a, b, c = heads
+                    sets += [PackSet((a, b), 1, v), PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
-    selection = packer.solve(sets)
-    triples = sorted(
-        (s for s in selection if len(s.members) == 3), key=lambda s: s.candidate
-    )
-    pairs = sorted(
-        (s for s in selection if len(s.members) == 2), key=lambda s: s.candidate
-    )
+    selection = sorted(packer.solve(sets), key=lambda s: s.candidate)
+    triples = [s for s in selection if len(s.members) == 3]
+    pairs = [s for s in selection if len(s.members) == 2]
 
     f2 = f1.copy()
     for s in triples:
-        f2._expand(s.candidate, s.sorted_members())
+        f2._expand(s.candidate, s.members)
     f3 = f2.copy()
     for s in pairs:
-        f3._expand(s.candidate, s.sorted_members())
+        f3._expand(s.candidate, s.members)
     t = attach(d, f3)
     assert t.is_spanning_arborescence()
 

@@ -1,8 +1,11 @@
 """Exhaustive oracles the tests compare the package's algorithms against.
 
-Each is guarded: it raises TooLarge above a size where exhaustive search
-stops being cheap.  `random_dag_corpus` and `random_edges` supply seeded
-inputs for property tests, and `add_expansion` builds branchings by hand.
+Each exhaustive one is guarded: it raises TooLarge above a size where
+exhaustive search stops being cheap.  `reference_pack_greedy` and
+`reference_pack_exact` are the packers written over frozensets, so they do
+not rely on the ascending order of `PackSet.members`.  `random_dag_corpus`
+and `random_edges` supply seeded inputs for property tests, and
+`add_expansion` builds branchings by hand.
 """
 
 from __future__ import annotations
@@ -10,8 +13,16 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from leafspan import Branching, Digraph, TooLarge, UndirectedGraphInstance, gen_random_rooted_dag
+from leafspan import (
+    Branching,
+    Digraph,
+    PackSet,
+    TooLarge,
+    UndirectedGraphInstance,
+    gen_random_rooted_dag,
+)
 from leafspan.matching import Edge, _normalize_edges
+from leafspan.packing import EXACT_SET_LIMIT
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 INDEPENDENT_SET_VERTEX_LIMIT = 20
@@ -97,6 +108,77 @@ def brute_force_max_independent_set(
 
     size, chosen = rec((1 << n) - 1)
     return size, {v for v in range(n) if (chosen >> v) & 1}
+
+
+def _reference_order_key(s: PackSet) -> tuple:
+    # descending weight, then ascending candidate id, then member ids
+    return (-s.weight, s.candidate, tuple(sorted(frozenset(s.members))))
+
+
+def reference_pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
+    """Greedy packing over frozensets; oracle twin of `pack_greedy`."""
+    chosen: list[PackSet] = []
+    used: set[int] = set()
+    for s in sorted(sets, key=_reference_order_key):
+        members = frozenset(s.members)
+        if used.isdisjoint(members):
+            chosen.append(s)
+            used.update(members)
+    return chosen
+
+
+def reference_pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
+    """Branch-and-bound packing over frozensets; oracle twin of `pack_exact`.
+
+    Same objective and tie-breaks: the largest total weight, then the most
+    sets, then the lexicographically smallest selection.  Raises TooLarge
+    above ``EXACT_SET_LIMIT`` sets.
+    """
+    if len(sets) > EXACT_SET_LIMIT:
+        raise TooLarge(f"{len(sets)} sets exceeds guard of {EXACT_SET_LIMIT}")
+    order = sorted(sets, key=_reference_order_key)
+    m = len(order)
+    suffix = [0] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + order[i].weight
+
+    best_weight = -1
+    best_count = -1
+    best_sig: tuple = ()
+    best_sel: list[PackSet] = []
+
+    used: set[int] = set()
+    cur: list[PackSet] = []
+
+    def consider() -> None:
+        nonlocal best_weight, best_count, best_sig, best_sel
+        w = sum(s.weight for s in cur)
+        c = len(cur)
+        if (w, c) < (best_weight, best_count):
+            return
+        sig = tuple(sorted((tuple(sorted(frozenset(s.members))), s.candidate) for s in cur))
+        if (w, c) > (best_weight, best_count) or sig < best_sig:
+            best_weight, best_count, best_sig = w, c, sig
+            best_sel = list(cur)
+
+    def dfs(i: int, weight: int) -> None:
+        if weight + suffix[i] < best_weight:
+            return  # cannot even tie
+        if i == m:
+            consider()
+            return
+        s = order[i]
+        members = frozenset(s.members)
+        if used.isdisjoint(members):
+            used.update(members)
+            cur.append(s)
+            dfs(i + 1, weight + s.weight)
+            cur.pop()
+            used.difference_update(members)
+        dfs(i + 1, weight)
+
+    dfs(0, 0)
+    return best_sel
 
 
 def random_dag_corpus(

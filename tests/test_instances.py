@@ -124,6 +124,10 @@ class TestReduction:
         assert len(d.arcs) == 4
         assert max(d.in_degree(v) for v in range(4)) == 2
 
+    def test_build_rejects_float_ids(self):
+        with pytest.raises(MalformedInput):
+            UndirectedGraphInstance.build(3, [(0.0, 1)])
+
     def test_triangle_weighted_optimum(self):
         g = UndirectedGraphInstance.build(3, [(0, 1), (0, 2), (1, 2)])
         d = reduce_independent_set(g)

@@ -63,6 +63,14 @@ def test_rejects_bad_edges():
         max_matching(3, [(0, 4)])
 
 
+@pytest.mark.parametrize("edge", [(0.0, 1), (0, "1"), (True, 2)],
+                         ids=["float", "str", "bool"])
+def test_rejects_non_int_ids(edge):
+    # a bool must not pass as 0/1; a float or str must not end in TypeError
+    with pytest.raises(MalformedInput):
+        max_matching(3, [edge])
+
+
 def test_brute_force_guard():
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8)]
     assert len(edges) > 25

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from leafspan import PackSet, TooLarge, pack_exact, pack_greedy
+from oracles import reference_pack_exact, reference_pack_greedy
 
 
 def ps(members, weight, candidate):
-    return PackSet(frozenset(members), weight, candidate)
+    return PackSet(tuple(sorted(members)), weight, candidate)
 
 
 def exhaustive_best_weight(sets):
@@ -53,7 +54,7 @@ def test_triple_beats_its_own_subsets():
     for solver in (pack_greedy, pack_exact):
         sel = solver(sets)
         assert len(sel) == 1
-        assert sel[0].members == frozenset((1, 2, 3))
+        assert sel[0].members == (1, 2, 3)
 
 
 def test_two_disjoint_pairs_selected():
@@ -69,7 +70,7 @@ def test_exact_tie_prefers_more_sets():
     assert exhaustive_best_weight(sets) == 2
     sel = pack_exact(sets)
     assert sum(s.weight for s in sel) == 2
-    assert sorted(s.sorted_members() for s in sel) == [(1, 2), (3, 4)]
+    assert sorted(s.members for s in sel) == [(1, 2), (3, 4)]
 
 
 def test_exact_guard():
@@ -117,3 +118,30 @@ def test_at_most_one_set_per_candidate():
             sel = solver(sets)
             cands = [s.candidate for s in sel]
             assert len(cands) == len(set(cands))
+
+
+def pipeline_like_family(rng, universe, candidates):
+    """Sets shaped like the packing pipeline's, with ties in weight and candidate.
+
+    Each draw is a pair, or a triple together with its three 2-subsets, under
+    a candidate id drawn with repeats; the small universe makes equal member
+    tuples under different candidates common.
+    """
+    sets = []
+    for _ in range(rng.randint(0, candidates)):
+        cand = rng.randrange(candidates)
+        heads = sorted(rng.sample(range(universe), rng.choice((2, 3))))
+        if len(heads) == 3:
+            sets.extend(triple_with_subsets(*heads, candidate=cand))
+        else:
+            sets.append(ps(heads, 1, cand))
+    rng.shuffle(sets)
+    return sets
+
+
+def test_packers_match_frozenset_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        sets = pipeline_like_family(rng, rng.randint(3, 9), 10)
+        assert pack_greedy(sets) == reference_pack_greedy(sets)
+        assert pack_exact(sets) == reference_pack_exact(sets)

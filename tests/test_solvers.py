@@ -206,6 +206,40 @@ class TestMaxLeavesPacking:
             assert rep.algorithm == "w3dm-mine" and rep.certificate_ok
             assert rep.to_dict()["claimed_alpha"] == "2"
 
+    def test_packer_receives_ascending_sets_with_their_subsets(self):
+        # the PackSet contract every Packer may rely on: members strictly
+        # ascending ints; one own set per candidate, weight len - 1, within
+        # its out-neighbors; a triple comes with exactly its three 2-subsets
+        triples = 0
+        for d in random_dag_corpus(150, 3, 30, seed=47):
+            received = []
+
+            def spy(sets):
+                received.extend(sets)
+                return pack_greedy(sets)
+
+            max_leaves_packing(d, Packer("spy", Fraction(3), spy))
+            groups = {}
+            for s in received:
+                assert type(s) is PackSet
+                assert all(type(x) is int for x in s.members)
+                assert all(a < b for a, b in zip(s.members, s.members[1:]))
+                groups.setdefault(s.candidate, []).append(s)
+            for v, group in groups.items():
+                own = max(group, key=lambda s: len(s.members))
+                assert len(own.members) in (2, 3)
+                assert own.weight == len(own.members) - 1
+                assert set(own.members) <= set(d.out_adj[v])
+                rest = sorted(s for s in group if s is not own)
+                if len(own.members) == 3:
+                    a, b, c = own.members
+                    triples += 1
+                    assert rest == [PackSet((a, b), 1, v), PackSet((a, c), 1, v),
+                                    PackSet((b, c), 1, v)]
+                else:
+                    assert rest == []
+        assert triples > 0
+
 
 class TestExactOracle:
     def test_star(self):
@@ -231,7 +265,7 @@ class TestExactOracle:
     def test_searches_leave_no_reference_cycles(self):
         # their state must be freed on return, not at the next full gc
         d = build_digraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        sets = [PackSet(frozenset({1, 2}), 1, 0), PackSet(frozenset({2, 3}), 1, 1)]
+        sets = [PackSet((1, 2), 1, 0), PackSet((2, 3), 1, 1)]
         gc.collect()
         gc.disable()
         try:
