@@ -47,9 +47,8 @@ class UndirectedGraphInstance:
     ) -> "UndirectedGraphInstance":
         if vertex_count < 0:
             raise MalformedInput("vertex_count must be nonnegative")
-        # repeats merge in either orientation; the matching's edge check does the rest
-        normalized = {(u, v) if u < v else (v, u) for u, v in edges}
-        return cls(vertex_count, tuple(_normalize_edges(vertex_count, normalized)))
+        # repeats merge in either orientation
+        return cls(vertex_count, tuple(_normalize_edges(vertex_count, edges, merge_repeats=True)))
 
 
 def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Digraph:

@@ -17,17 +17,30 @@ from .errors import MalformedInput
 Edge = tuple[int, int]
 
 
-def _normalize_edges(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
+def _normalize_edges(
+    vertex_count: int, edges: Iterable[Edge], merge_repeats: bool = False
+) -> list[Edge]:
+    """Sorted ``(u, v)`` edges with ``u < v``.
+
+    Raises MalformedInput for anything but a pair of distinct int ids in
+    range, and for a repeated edge unless ``merge_repeats`` keeps one copy.
+    """
     out: list[Edge] = []
     seen: set[Edge] = set()
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            u = v = None  # rejected just below
         # type() rather than isinstance(): True/False must not pass as 1/0
         if not (type(u) is type(v) is int and 0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise MalformedInput(f"edge {(u, v)!r:.60} is not a pair of ids in [0, {vertex_count})")
+            raise MalformedInput(f"edge {edge!r:.60} is not a pair of ids in [0, {vertex_count})")
         if u == v:
             raise MalformedInput(f"self-loop at vertex {u}")
         key = (u, v) if u < v else (v, u)
         if key in seen:
+            if merge_repeats:
+                continue
             raise MalformedInput(f"duplicate edge {key}")
         seen.add(key)
         out.append(key)

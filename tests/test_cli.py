@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 from fractions import Fraction
@@ -395,3 +396,114 @@ def test_library_verify_rejects_non_integer_parents(tail):
     solution["parent"] = [None, 0, tail, tail, tail]
     assert verify_solution(d, solution) == [
         f"parent array invalid: arc ({tail}, 2) not in host digraph"]
+
+
+@pytest.fixture
+def collector():
+    """Sets the cyclic collector on or off for a test and restores it after."""
+    was_enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("algo", ["maxleaves", "expansion2", "w3dm-greedy"])
+def test_commands_run_no_collections(tmp_path, collector, algo):
+    # the containers of a 2000-vertex job would trigger gen-0 collections;
+    # with the collector paused inside main there are none
+    inst = gen_random(tmp_path, n=2000, p=0.002, seed=11)
+    sol = tmp_path / "sol.json"
+    commands = [["solve", "--algo", algo, "--input", str(inst), "--output", str(sol)],
+                ["verify", "--instance", str(inst), "--solution", str(sol)]]
+    in_main = [False]
+    starts = []
+
+    def count(phase, info):
+        # re-enabled, the collector runs at the next allocation after main
+        if phase == "start" and in_main[0]:
+            starts.append(info["generation"])
+
+    collector(True)
+    gc.callbacks.append(count)
+    try:
+        for argv in commands:
+            in_main[0] = True
+            code = main(argv)
+            in_main[0] = False
+            assert code == 0
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory):
+    """An instance, its solution, a forged solution, one too large for the
+    exact methods, and a bench directory holding both instances."""
+    root = tmp_path_factory.mktemp("commands")
+    bench = root / "bench"
+    bench.mkdir()
+    inst = gen_random(bench, "small.json")
+    big = gen_random(bench, "big.json", n=40, p=0.4, seed=1)
+    sol, forged = root / "sol.json", root / "forged.json"
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst), "--output", str(sol)) == 0
+    obj = json.loads(sol.read_text())
+    obj["parent"][obj["parent"].index(None)] = 0  # the root gets a parent
+    forged.write_text(json.dumps(obj))
+    return {"dir": root, "bench": bench, "inst": inst, "big": big, "sol": sol, "forged": forged}
+
+
+# name: (exit code, command line over the command_files paths)
+COMMANDS = {
+    "gen": (0, "gen --generator random --n 50 --out {dir}/new.json"),
+    "gen-out-of-range": (2, "gen --generator random --n 0 --out {dir}/none.json"),
+    **{f"solve-{algo}": (0, f"solve --algo {algo} --input {{inst}} --output {{dir}}/{algo}.json")
+       for algo in ALGORITHMS},
+    "solve-exact-refused": (2, "solve --algo exact --input {big} --output {dir}/refused.json"),
+    "solve-missing-input": (3, "solve --algo maxleaves --input {dir}/missing.json "
+                               "--output {dir}/missing-sol.json"),
+    "verify": (0, "verify --instance {inst} --solution {sol}"),
+    "verify-failing": (1, "verify --instance {inst} --solution {forged}"),
+    "bench": (0, f"bench --input-dir {{bench}} --algos {','.join(ALGORITHMS)} --csv {{dir}}/out.csv"),
+}
+
+
+def command(command_files, name):
+    code, template = COMMANDS[name]
+    return code, [word.format(**command_files) for word in template.split()]
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_commands_leave_no_cyclic_garbage(command_files, collector, name):
+    # what makes pausing the collector in main safe: reference counting
+    # alone frees everything a command allocates
+    code, argv = command(command_files, name)
+    gc.collect()
+    collector(False)
+    assert run(*argv) == code
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_restores_the_collector_state(command_files, monkeypatch, collector, enabled):
+    for name in COMMANDS:
+        code, argv = command(command_files, name)
+        collector(enabled)
+        assert run(*argv) == code
+        assert gc.isenabled() is enabled, name
+
+    seen = []
+
+    def fail(path):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    # the command itself runs with the collector paused, whatever the caller set
+    monkeypatch.setattr(leafspan.cli, "read_instance", fail)
+    collector(enabled)
+    with pytest.raises(RuntimeError):
+        run(*command(command_files, "solve-maxleaves")[1])
+    assert gc.isenabled() is enabled
+    assert seen == [False]

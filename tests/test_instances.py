@@ -128,6 +128,17 @@ class TestReduction:
         with pytest.raises(MalformedInput):
             UndirectedGraphInstance.build(3, [(0.0, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, "1"), ("0", 1), (0, 1, 2), (0,), 5, None],
+                             ids=["str-head", "str-tail", "triple", "single", "int", "none"])
+    def test_build_rejects_edges_that_are_not_int_pairs(self, edge):
+        # the ids are checked before the edge is oriented, so no bare TypeError
+        with pytest.raises(MalformedInput):
+            UndirectedGraphInstance.build(3, [edge])
+
+    def test_build_merges_repeats_in_either_orientation(self):
+        g = UndirectedGraphInstance.build(3, [(1, 0), (0, 1), (2, 1), (1, 0)])
+        assert g.edges == ((0, 1), (1, 2))
+
     def test_triangle_weighted_optimum(self):
         g = UndirectedGraphInstance.build(3, [(0, 1), (0, 2), (1, 2)])
         d = reduce_independent_set(g)

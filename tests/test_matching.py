@@ -63,10 +63,11 @@ def test_rejects_bad_edges():
         max_matching(3, [(0, 4)])
 
 
-@pytest.mark.parametrize("edge", [(0.0, 1), (0, "1"), (True, 2)],
-                         ids=["float", "str", "bool"])
+@pytest.mark.parametrize("edge", [(0.0, 1), (0, "1"), (True, 2), (0, 1, 2), (0,), 5, None],
+                         ids=["float", "str", "bool", "triple", "single", "int", "none"])
 def test_rejects_non_int_ids(edge):
-    # a bool must not pass as 0/1; a float or str must not end in TypeError
+    # a bool must not pass as 0/1; a float, a str or anything but a pair
+    # must not end in a bare TypeError or ValueError
     with pytest.raises(MalformedInput):
         max_matching(3, [edge])
 
