@@ -172,17 +172,6 @@ class Branching:
                 return False
         return True
 
-    def has_internal_coverage(self) -> bool:
-        """True iff no internal vertex still has an in-degree-0 out-neighbor.
-
-        This is what guarantees that the final attachment phase can reach
-        every remaining vertex through out-degree-0 tails only.
-        """
-        return all(
-            self.out_degree[v] == 0 or not self.available_heads(v)
-            for v in range(self.host.vertex_count)
-        )
-
     def is_spanning_arborescence(self) -> bool:
         """True iff this branching is a single arborescence spanning the host.
 

@@ -154,25 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0, help="RNG seed (random)")
     gen.add_argument("--k", type=int, default=1, help="family parameter (adversarial)")
     gen.add_argument("--out", required=True, help="output instance path")
-    gen.set_defaults(func=_cmd_gen)
 
     solve = sub.add_parser("solve", help="solve an instance")
     solve.add_argument("--algo", choices=ALGORITHMS, required=True)
     solve.add_argument("--input", required=True, help="instance path")
     solve.add_argument("--output", required=True, help="solution path")
     solve.add_argument("--dot", help="optional DOT export of the arborescence")
-    solve.set_defaults(func=_cmd_solve)
 
     ver = sub.add_parser("verify", help="re-validate a solution against its instance")
     ver.add_argument("--instance", required=True)
     ver.add_argument("--solution", required=True)
-    ver.set_defaults(func=_cmd_verify)
 
     bench = sub.add_parser("bench", help="run a directory of instances, write CSV")
     bench.add_argument("--input-dir", required=True)
     bench.add_argument("--algos", default="maxleaves", help="comma-separated algorithms")
     bench.add_argument("--csv", required=True, help="output CSV path")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 
@@ -182,7 +178,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gc.disable()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # looked up at call time, so a replaced _cmd_* function takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

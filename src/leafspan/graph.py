@@ -133,12 +133,6 @@ class Digraph:
         """Lexicographically sorted ``(tail, head)`` pairs, derived from ``out_adj``."""
         return tuple([(u, v) for u, heads in enumerate(self.out_adj) for v in heads])
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented

@@ -94,10 +94,11 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
         idx = -1
         while True:
             u = rng.random()
-            gap = int(math.log1p(-u) / log_q) + 1
-            idx += gap
-            if idx >= total:
+            # compared as a float first: a tiny p can make the skip infinite
+            skip = math.log1p(-u) / log_q
+            if skip >= total - 1 - idx:
                 break
+            idx += int(skip) + 1
             i = bisect_right(row_start, idx) - 1
             j = i + 1 + (idx - row_start[i])
             if (i, j) not in mandatory:
@@ -268,17 +269,15 @@ def read_instance(path: PathLike) -> Digraph:
         raise ParseError(f"{path}: {e}") from e
 
 
-def write_dot(
-    target: Union[Digraph, Branching], path: PathLike, *, name: str = "instance"
-) -> None:
-    """DOT export; when given a branching, its arcs are drawn bold over the host."""
+def write_dot(target: Union[Digraph, Branching], path: PathLike) -> None:
+    """DOT export as ``digraph instance``; a branching's arcs are drawn bold over its host."""
     if isinstance(target, Branching):
         host = target.host
         chosen = set(target.arcs())
     else:
         host = target
         chosen = set()
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph instance {"]
     weights = host.vertex_weights
     for v in range(host.vertex_count):
         attrs = []

@@ -8,6 +8,10 @@ Pipelines:
                            then attachment; ratio max{4/3, alpha}.
   * ``exact_max_leaves``   branch-and-bound over parent functions (oracle).
 
+The phases take only what a pipeline passes them: ``greedy_expand(d, t)``
+starts from the empty branching, and ``max_expand(f)`` and ``attach(f)``
+read the digraph from ``f.host``.
+
 Each pipeline returns its arborescence and a `SolveReport` certified by its
 record in `certificates.PIPELINES`, the same code `verify` rechecks with.
 All vertex iteration happens in the digraph's deterministic topological
@@ -30,28 +34,17 @@ EXACT_PRODUCT_LIMIT = 10**8
 EXACT_SMALL_N = 16
 
 
-def _check_greedy_pre(d: Digraph, t: int, f: Branching) -> None:
-    if t < 1:
-        raise PreconditionViolated(f"t must be positive, got {t}")
-    if f.host is not d:
-        raise PreconditionViolated("branching does not belong to this digraph")
-    if t >= 2:
-        if not f.is_t_branching(t + 1):
-            raise PreconditionViolated(f"input is not a {t + 1}-branching")
-    elif not f.has_internal_coverage():
-        raise PreconditionViolated(
-            "input branching leaves an internal vertex with in-degree-0 out-neighbors"
-        )
-
-
-def greedy_expand(d: Digraph, t: int, f: Branching) -> Branching:
-    """Maximal spanning t-branching of ``d`` containing ``f``.
+def greedy_expand(d: Digraph, t: int) -> Branching:
+    """Maximal spanning t-branching of ``d``, built from the empty branching.
 
     Each out-degree-0 vertex is examined once, in topological order; when it
     still has at least ``t`` in-degree-0 out-neighbors, all of them are taken.
+    A vertex is expanded only while it has out-degree 0, so no internal
+    vertex is left with an in-degree-0 out-neighbor.
     """
-    _check_greedy_pre(d, t, f)
-    work = f.copy()
+    if t < 1:
+        raise PreconditionViolated(f"t must be positive, got {t}")
+    work = Branching(d)
     for v in topological_order(d):
         if work.out_degree[v] == 0:
             heads = work.available_heads(v)
@@ -60,16 +53,15 @@ def greedy_expand(d: Digraph, t: int, f: Branching) -> Branching:
     return work
 
 
-def attach(d: Digraph, f: Branching) -> Branching:
-    """Give every remaining in-degree-0 non-root vertex a parent.
+def attach(f: Branching) -> Branching:
+    """Give every remaining in-degree-0 non-root vertex of ``f.host`` a parent.
 
     Processed in topological order; an already-internal in-neighbor is
     preferred (it costs no leaf), ties broken by smallest id.  The result is
     always a spanning arborescence, even when earlier phases left vertices
     whose in-neighbors are all internal.
     """
-    if f.host is not d:
-        raise PreconditionViolated("branching does not belong to this digraph")
+    d = f.host
     work = f.copy()
     for v in topological_order(d):
         if v != d.root and work.parent[v] is None:
@@ -81,20 +73,19 @@ def attach(d: Digraph, f: Branching) -> Branching:
     return work
 
 
-def max_expand(d: Digraph, f: Branching) -> tuple[Branching, int]:
-    """Maximum spanning 2-branching of ``d`` containing the maximal 3-branching ``f``.
+def max_expand(f: Branching) -> tuple[Branching, int]:
+    """Maximum spanning 2-branching containing the maximal 3-branching ``f``.
 
-    Builds the multigraph of feasible 2-expansions over in-degree-0 vertices,
-    collapses parallel edges (smallest candidate id wins), computes a maximum
-    matching, and applies the matched expansions.  Returns the expanded
-    branching and the matching size.
+    Builds the multigraph of feasible 2-expansions over the in-degree-0
+    vertices of ``f.host``, collapses parallel edges (smallest candidate id
+    wins), computes a maximum matching, and applies the matched expansions.
+    Returns the expanded branching and the matching size.
     """
-    if f.host is not d:
-        raise PreconditionViolated("branching does not belong to this digraph")
     if not f.is_t_branching(3):
         raise PreconditionViolated("input is not a 3-branching")
     if not f.is_maximal(3):
         raise PreconditionViolated("input 3-branching is not maximal")
+    d = f.host
 
     # candidate v: out-degree 0 with exactly two in-degree-0 out-neighbors;
     # heads are sorted, so each pair is already a normalized matching edge
@@ -116,9 +107,9 @@ def max_expand(d: Digraph, f: Branching) -> tuple[Branching, int]:
 
 def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
     """The certified 3/2-ratio pipeline: 3-expansions, matching, attachment."""
-    f1 = greedy_expand(d, 3, Branching(d))
-    f2, matching_size = max_expand(d, f1)
-    t = attach(d, f2)
+    f1 = greedy_expand(d, 3)
+    f2, matching_size = max_expand(f1)
+    t = attach(f2)
     assert t.is_spanning_arborescence()
     counts = {"matching_size": matching_size}
     return t, SolveReport.from_phases(PIPELINES["maxleaves"], [f1, f2, t], counts)
@@ -126,8 +117,8 @@ def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
 
 def expansion_baseline(d: Digraph) -> tuple[Branching, SolveReport]:
     """Plain greedy 2-expansion baseline (ratio 2) with its own certificate."""
-    f = greedy_expand(d, 2, Branching(d))
-    t = attach(d, f)
+    f = greedy_expand(d, 2)
+    t = attach(f)
     assert t.is_spanning_arborescence()
     return t, SolveReport.from_phases(PIPELINES["expansion2"], [f, t])
 
@@ -144,7 +135,7 @@ def max_leaves_packing(
     arborescence.  The report is named ``w3dm-<packer name>`` and certified
     with the packer's ``claimed_alpha``.
     """
-    f1 = greedy_expand(d, 4, Branching(d))
+    f1 = greedy_expand(d, 4)
 
     # heads come ascending (out_adj is sorted), as PackSet.members must be
     sets: list[PackSet] = []
@@ -167,7 +158,7 @@ def max_leaves_packing(
     f3 = f2.copy()
     for s in pairs:
         f3._expand(s.candidate, s.members)
-    t = attach(d, f3)
+    t = attach(f3)
     assert t.is_spanning_arborescence()
 
     pipeline = replace(
@@ -191,9 +182,7 @@ def _exact_guard(d: Digraph) -> None:
             )
 
 
-def exact_max_leaves(
-    d: Digraph, objective: str = "leaves", prune: bool = True
-) -> tuple[int, Branching]:
+def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branching]:
     """Exact optimum by branch-and-bound over parent functions.
 
     On a rooted DAG every parent function (one in-neighbor per non-root
@@ -235,7 +224,7 @@ def exact_max_leaves(
 
     def dfs(i: int, cost: int) -> None:
         nonlocal best_cost, best_parent
-        if prune and cost >= best_cost:
+        if cost >= best_cost:
             return
         if i == len(choices):
             if cost < best_cost:

@@ -10,6 +10,8 @@ and `random_edges` supply seeded inputs for property tests, and
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -25,6 +27,7 @@ from leafspan.matching import Edge, _normalize_edges
 from leafspan.packing import EXACT_SET_LIMIT
 
 BRUTE_FORCE_EDGE_LIMIT = 25
+BRUTE_FORCE_PARENT_FUNCTION_LIMIT = 10**6
 INDEPENDENT_SET_VERTEX_LIMIT = 20
 
 
@@ -73,6 +76,27 @@ def is_matching(edges: Sequence[Edge]) -> bool:
         seen.add(u)
         seen.add(v)
     return True
+
+
+def brute_force_max_leaves(d: Digraph, objective: str = "leaves") -> int:
+    """Best leaf count (or leaf weight) over every parent function of ``d``.
+
+    Oracle twin of `exact_max_leaves`: on a rooted DAG each choice of one
+    in-neighbor per non-root vertex is a spanning arborescence, and its leaves
+    are the vertices never chosen as a parent.  Raises TooLarge when there
+    are more than ``BRUTE_FORCE_PARENT_FUNCTION_LIMIT`` parent functions.
+    """
+    weight = d.vertex_weights if objective == "leaf_weight" else [1] * d.vertex_count
+    options = [d.in_adj[v] for v in range(d.vertex_count) if v != d.root]
+    count = math.prod(map(len, options))
+    if count > BRUTE_FORCE_PARENT_FUNCTION_LIMIT:
+        raise TooLarge(
+            f"{count} parent functions exceeds guard of {BRUTE_FORCE_PARENT_FUNCTION_LIMIT}"
+        )
+    used_weight = min(
+        sum(weight[p] for p in set(parents)) for parents in itertools.product(*options)
+    )
+    return sum(weight) - used_weight
 
 
 def brute_force_max_independent_set(

@@ -60,13 +60,27 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     assert run("gen", "--generator", "random", "--out", str(default)) == 0
 
 
+def test_gen_with_subnormal_p_exits_0(tmp_path):
+    inst = gen_random(tmp_path, n=10, p=1e-320)
+    assert len(json.loads(inst.read_text())["arcs"]) == 9
+
+
+def test_commands_are_looked_up_when_main_runs(tmp_path, monkeypatch):
+    gen_random(tmp_path)  # builds the cached parser
+    calls = []
+    monkeypatch.setattr(leafspan.cli, "_cmd_solve", lambda args: calls.append(args) or 0)
+    assert run("solve", "--algo", "maxleaves", "--input", str(tmp_path / "missing.json"),
+               "--output", str(tmp_path / "sol.json")) == 0
+    assert len(calls) == 1
+
+
 def test_solve_writes_dot(tmp_path):
     inst = gen_random(tmp_path)
     sol = tmp_path / "sol.json"
     dot = tmp_path / "sol.dot"
     assert run("solve", "--algo", "maxleaves", "--input", str(inst),
                "--output", str(sol), "--dot", str(dot)) == 0
-    assert dot.read_text().startswith("digraph")
+    assert dot.read_text().startswith("digraph instance {")
 
 
 def solve_into(tmp_path, inst, prefix):

@@ -76,8 +76,8 @@ def test_adjacency_consistency():
     d = build_digraph(4, 0, [(0, 2), (0, 1), (1, 3), (2, 3)])
     assert d.out_adj[0] == (1, 2)
     assert d.in_adj[3] == (1, 2)
-    assert d.out_degree(0) == 2
-    assert d.in_degree(3) == 2
+    assert len(d.out_adj[0]) == 2
+    assert len(d.in_adj[3]) == 2
     assert d.arcs == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 

@@ -55,11 +55,16 @@ class TestGenerator:
         for seed in range(5):
             d = gen_random_rooted_dag(30, 0.0, seed)
             assert len(d.arcs) == 29
-            assert all(d.in_degree(v) == 1 for v in range(30) if v != d.root)
+            assert all(len(d.in_adj[v]) == 1 for v in range(30) if v != d.root)
 
     def test_p_one_gives_complete_order(self):
         d = gen_random_rooted_dag(10, 1.0, 4)
         assert len(d.arcs) == 45
+
+    def test_subnormal_p_gives_tree(self):
+        # log1p(-p) is subnormal, so the first skip is infinite
+        d = gen_random_rooted_dag(10, 1e-320, 0)
+        assert len(d.arcs) == 9
 
     def test_sparse_skipping_matches_density(self):
         # p = 0.3 over C(40, 2) optional slots plus 39 mandatory arcs
@@ -81,8 +86,8 @@ class TestAdversarialFamily:
         d = gen_adversarial_family(1)
         m = 3
         assert d.vertex_count == 4 * m + 2
-        assert d.out_degree(0) == m + 1
-        assert d.out_degree(m + 1) == 3 * m
+        assert len(d.out_adj[0]) == m + 1
+        assert len(d.out_adj[m + 1]) == 3 * m
 
     def test_rejects_k_zero(self):
         with pytest.raises(MalformedInput):
@@ -122,7 +127,7 @@ class TestReduction:
         d = reduce_independent_set(g)
         assert d.vertex_count == 4
         assert len(d.arcs) == 4
-        assert max(d.in_degree(v) for v in range(4)) == 2
+        assert max(len(d.in_adj[v]) for v in range(4)) == 2
 
     def test_build_rejects_float_ids(self):
         with pytest.raises(MalformedInput):

@@ -24,7 +24,12 @@ from leafspan import (
     pack_greedy,
 )
 from leafspan.certificates import two_phase_bounds
-from oracles import add_expansion, brute_force_matching, random_dag_corpus
+from oracles import (
+    add_expansion,
+    brute_force_matching,
+    brute_force_max_leaves,
+    random_dag_corpus,
+)
 
 
 def star(k):
@@ -49,49 +54,44 @@ def shared_head_instance():
 class TestGreedyExpand:
     def test_star_three_children(self):
         d = star(3)
-        f = greedy_expand(d, 3, Branching(d))
+        f = greedy_expand(d, 3)
         assert f.stats().leaves == 3
         assert f.out_degree[0] == 3
 
     def test_star_two_children_unchanged(self):
         d = star(2)
-        f = greedy_expand(d, 3, Branching(d))
+        f = greedy_expand(d, 3)
         assert f.stats().arcs == 0
 
-    def test_precondition_rejected(self):
-        d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 3), (1, 4)])
-        two_branching = greedy_expand(d, 2, Branching(d))
+    def test_nonpositive_t_rejected(self):
         with pytest.raises(PreconditionViolated):
-            greedy_expand(d, 2, two_branching)  # needs a 3-branching
-
-    def test_t1_requires_internal_coverage(self):
-        d = build_digraph(4, 0, [(0, 1), (0, 2), (0, 3)])
-        bad = add_expansion(Branching(d), 0, [1])  # 2 and 3 still free
-        with pytest.raises(PreconditionViolated):
-            greedy_expand(d, 1, bad)
+            greedy_expand(star(3), 0)
 
     def test_output_is_maximal_t_branching_on_random_dags(self):
         for i, d in enumerate(random_dag_corpus(100, 1, 25, seed=21)):
             for t in (1, 2, 3):
-                f = greedy_expand(d, t, Branching(d))
+                f = greedy_expand(d, t)
                 assert f.is_t_branching(t)
                 assert f.is_maximal(t)
-                assert f.has_internal_coverage()
+                # no internal vertex keeps an in-degree-0 out-neighbor
+                assert not any(
+                    f.out_degree[v] and f.available_heads(v) for v in range(d.vertex_count)
+                )
 
 
 class TestMaxExpand:
     def test_no_candidates_returns_input(self):
         d = star(4)
-        f = greedy_expand(d, 3, Branching(d))
-        f2, size = max_expand(d, f)
+        f = greedy_expand(d, 3)
+        f2, size = max_expand(f)
         assert size == 0
         assert f2.arcs() == f.arcs()
 
     def test_shared_head_forces_single_expansion(self):
         d = shared_head_instance()
-        f1 = greedy_expand(d, 3, Branching(d))
+        f1 = greedy_expand(d, 3)
         assert f1.out_degree[0] == 5
-        f2, size = max_expand(d, f1)
+        f2, size = max_expand(f1)
         # oracle: both candidate edges share head 6, so only one fits
         assert brute_force_matching(9, [(6, 7), (6, 8)]) is not None
         assert len(brute_force_matching(9, [(6, 7), (6, 8)])) == 1
@@ -102,7 +102,7 @@ class TestMaxExpand:
 
     def test_applied_count_matches_brute_force_on_random_dags(self):
         for d in random_dag_corpus(300, 1, 14, seed=23):
-            f1 = greedy_expand(d, 3, Branching(d))
+            f1 = greedy_expand(d, 3)
             # derive the collapsed candidate graph independently
             pairs = set()
             for v in range(d.vertex_count):
@@ -110,7 +110,7 @@ class TestMaxExpand:
                     heads = f1.available_heads(v)
                     if len(heads) == 2:
                         pairs.add(tuple(sorted(heads)))
-            f2, size = max_expand(d, f1)
+            f2, size = max_expand(f1)
             applied = sum(
                 1 for v in range(d.vertex_count)
                 if f1.out_degree[v] == 0 and f2.out_degree[v] == 2
@@ -124,7 +124,7 @@ class TestMaxExpand:
     def test_precondition_rejected(self):
         d = star(3)
         with pytest.raises(PreconditionViolated):
-            max_expand(d, Branching(d))  # not maximal for t=3
+            max_expand(Branching(d))  # not maximal for t=3
 
 
 class TestMaxLeaves:
@@ -256,11 +256,15 @@ class TestExactOracle:
         with pytest.raises(TooLarge):
             exact_max_leaves(d)
 
-    def test_pruning_does_not_change_value(self):
+    def test_matches_brute_force_on_both_objectives(self):
+        rng = random.Random(44)
         for d in random_dag_corpus(200, 1, 10, seed=43):
-            pruned, _ = exact_max_leaves(d, prune=True)
-            full, _ = exact_max_leaves(d, prune=False)
-            assert pruned == full
+            value, t = exact_max_leaves(d)
+            assert value == brute_force_max_leaves(d) == t.leaf_count
+            weights = [rng.randint(0, 9) for _ in range(d.vertex_count)]
+            w = build_digraph(d.vertex_count, d.root, d.arcs, weights=weights)
+            value, t = exact_max_leaves(w, objective="leaf_weight")
+            assert value == brute_force_max_leaves(w, "leaf_weight") == t.leaf_weight()
 
     def test_searches_leave_no_reference_cycles(self):
         # their state must be freed on return, not at the next full gc
@@ -302,7 +306,7 @@ class TestAttach:
         # 3 reachable via internal 1 or leaf 2; attach must not cost a leaf
         d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 4), (1, 3), (2, 3)])
         f = add_expansion(add_expansion(Branching(d), 0, [1, 2]), 1, [4])
-        t = attach(d, f)
+        t = attach(f)
         assert t.parent[3] == 1
         assert t.is_spanning_arborescence()
 
@@ -310,6 +314,6 @@ class TestAttach:
         # after a partial expansion, 3's only in-neighbor is internal
         d = build_digraph(4, 0, [(0, 1), (0, 2), (0, 3)])
         f = add_expansion(Branching(d), 0, [1, 2])
-        t = attach(d, f)
+        t = attach(f)
         assert t.is_spanning_arborescence()
         assert t.parent[3] == 0
