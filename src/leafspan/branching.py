@@ -10,7 +10,7 @@ doubles as a validator against counter drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import IllegalExpansion, MalformedInput, NotTBranching
 from .graph import Arc, Digraph
@@ -93,9 +93,19 @@ class Branching:
                 b.out_degree[p] += 1
         return b
 
-    def available_heads(self, v: int) -> list[int]:
-        """Out-neighbors of ``v`` in the host that still have in-degree 0."""
-        return [u for u in self.host.out_adj[v] if self.parent[u] is None]
+    def free_heads(self, t: int) -> Iterator[tuple[int, list[int]]]:
+        """``(v, heads)`` for each vertex ``v`` that might still make a ``t``-expansion.
+
+        Walks ``host.order`` and skips every vertex that is internal or has
+        fewer than ``t`` host out-arcs; ``heads`` are the out-neighbors of
+        ``v`` that still have in-degree 0, ascending.  Each vertex is read
+        when it is reached, so the caller may expand ``v`` before the next.
+        """
+        parent, out_degree, out_adj = self.parent, self.out_degree, self.host.out_adj
+        for v in self.host.order:
+            arcs = out_adj[v]
+            if len(arcs) >= t and out_degree[v] == 0:
+                yield v, [u for u in arcs if parent[u] is None]
 
     def _expand(self, v: int, heads: Sequence[int]) -> None:
         """In-place expansion; caller must own this value."""
@@ -167,10 +177,7 @@ class Branching:
         """
         if not self.is_t_branching(t):
             raise NotTBranching(f"not a {t}-branching")
-        for v in range(self.host.vertex_count):
-            if self.out_degree[v] == 0 and len(self.available_heads(v)) >= t:
-                return False
-        return True
+        return not any(len(heads) >= t for _, heads in self.free_heads(t))
 
     def is_spanning_arborescence(self) -> bool:
         """True iff this branching is a single arborescence spanning the host.

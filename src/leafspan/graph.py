@@ -45,6 +45,11 @@ class Digraph:
         arcs: Iterable[Arc],
         weights: Optional[Sequence[int]] = None,
     ):
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0,
+        # and a float would reach the file writer, whose output the reader refuses
+        if type(vertex_count) is not int or type(root) is not int:
+            raise MalformedInput(f"vertex_count {vertex_count!r:.20} and root {root!r:.20} "
+                                 "must be integers")
         if vertex_count < 1:
             raise MalformedInput(f"vertex_count must be >= 1, got {vertex_count}")
         if not 0 <= root < vertex_count:
@@ -162,7 +167,8 @@ def build_digraph(
     """Build and validate a rooted DAG.
 
     Raises:
-        MalformedInput: an arc that is not a pair of integers, ids out of
+        MalformedInput: a ``vertex_count`` or ``root`` that is not an
+            integer, an arc that is not a pair of integers, ids out of
             range, self-loops, duplicate arcs, or a weights list of the wrong
             shape.
         CycleDetected: the arc set contains a directed cycle.

@@ -250,10 +250,15 @@ def read_json_object(path: PathLike) -> dict:
     return obj
 
 
+def _same(recorded: object, expected: object) -> bool:
+    """Equal in type and value, so JSON true/false or 1.0 cannot stand in for 1."""
+    return type(recorded) is type(expected) and recorded == expected
+
+
 def read_instance(path: PathLike) -> Digraph:
     """Parse and validate an instance file; malformed content raises ParseError."""
     obj = read_json_object(path)
-    if obj.get("version") != 1:
+    if not _same(obj.get("version"), 1):
         raise ParseError(f"{path}: field 'version' must be 1")
     # type() rather than isinstance(): JSON true/false must not pass as 1/0
     for field_name, kind in (("n", int), ("root", int), ("arcs", list)):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import TooLarge
@@ -28,9 +29,12 @@ class PackSet(NamedTuple):
     candidate: int
 
 
-def _order_key(s: PackSet) -> tuple:
-    # descending weight, then ascending candidate id, then member ids
-    return (-s.weight, s.candidate, s.members)
+def _packing_order(sets: Sequence[PackSet]) -> list[PackSet]:
+    """The sets by descending weight, then ascending candidate id, then member ids."""
+    # two stable C-keyed sorts; reverse=True keeps equal weights in order
+    order = sorted(sets, key=itemgetter(2, 0))
+    order.sort(key=itemgetter(1), reverse=True)
+    return order
 
 
 def pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
@@ -41,7 +45,7 @@ def pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
     """
     chosen: list[PackSet] = []
     used: set[int] = set()
-    for s in sorted(sets, key=_order_key):
+    for s in _packing_order(sets):
         if used.isdisjoint(s.members):
             chosen.append(s)
             used.update(s.members)
@@ -60,7 +64,7 @@ def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
     """
     if len(sets) > EXACT_SET_LIMIT:
         raise TooLarge(f"{len(sets)} sets exceeds guard of {EXACT_SET_LIMIT}")
-    order = sorted(sets, key=_order_key)
+    order = _packing_order(sets)
     m = len(order)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):

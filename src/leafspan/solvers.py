@@ -21,6 +21,7 @@ order, so identical inputs give identical outputs.
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import itemgetter
 from typing import Optional
 
 from .branching import Branching
@@ -45,11 +46,9 @@ def greedy_expand(d: Digraph, t: int) -> Branching:
     if t < 1:
         raise PreconditionViolated(f"t must be positive, got {t}")
     work = Branching(d)
-    for v in topological_order(d):
-        if work.out_degree[v] == 0:
-            heads = work.available_heads(v)
-            if len(heads) >= t:
-                work._expand(v, heads)
+    for v, heads in work.free_heads(t):
+        if len(heads) >= t:
+            work._expand(v, heads)
     return work
 
 
@@ -90,18 +89,19 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
     # candidate v: out-degree 0 with exactly two in-degree-0 out-neighbors;
     # heads are sorted, so each pair is already a normalized matching edge
     edge_for_pair: dict[tuple[int, ...], int] = {}
-    for v in topological_order(d):
-        if f.out_degree[v] == 0:
-            pair = tuple(f.available_heads(v))
-            if len(pair) == 2 and v < edge_for_pair.get(pair, d.vertex_count):
+    for v, heads in f.free_heads(2):
+        if len(heads) == 2:
+            pair = tuple(heads)
+            if v < edge_for_pair.get(pair, d.vertex_count):
                 edge_for_pair[pair] = v
 
     matched = max_matching(d.vertex_count, edge_for_pair)
 
-    # matched pairs are disjoint, so applying one leaves the others' heads free
+    # a pair is exactly its candidate's free heads, and matched pairs are
+    # disjoint, so applying one leaves the others' heads free
     work = f.copy()
-    for v in sorted(edge_for_pair[pair] for pair in matched):
-        work._expand(v, work.available_heads(v))
+    for v, pair in sorted((edge_for_pair[pair], pair) for pair in matched):
+        work._expand(v, pair)
     return work, len(matched)
 
 
@@ -139,16 +139,14 @@ def max_leaves_packing(
 
     # heads come ascending (out_adj is sorted), as PackSet.members must be
     sets: list[PackSet] = []
-    for v in topological_order(d):
-        if f1.out_degree[v] == 0:
-            heads = f1.available_heads(v)
-            if 2 <= len(heads) <= 3:
-                sets.append(PackSet(tuple(heads), len(heads) - 1, v))
-                if len(heads) == 3:
-                    a, b, c = heads
-                    sets += [PackSet((a, b), 1, v), PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
+    for v, heads in f1.free_heads(2):
+        if 2 <= len(heads) <= 3:
+            sets.append(PackSet(tuple(heads), len(heads) - 1, v))
+            if len(heads) == 3:
+                a, b, c = heads
+                sets += [PackSet((a, b), 1, v), PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
-    selection = sorted(packer.solve(sets), key=lambda s: s.candidate)
+    selection = sorted(packer.solve(sets), key=itemgetter(2))  # by candidate
     triples = [s for s in selection if len(s.members) == 3]
     pairs = [s for s in selection if len(s.members) == 2]
 

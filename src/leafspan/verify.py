@@ -21,7 +21,7 @@ from .branching import Branching
 from .certificates import PIPELINES, SolveReport
 from .errors import LeafspanError, ParseError
 from .graph import Digraph
-from .instances import PathLike, read_json_object, write_json_object
+from .instances import PathLike, _same, read_json_object, write_json_object
 
 VERSION = 2
 
@@ -40,7 +40,7 @@ def write_solution(path: PathLike, report: SolveReport, parent: list[Optional[in
 def read_solution(path: PathLike) -> dict:
     """Parse a solution file and type-check its arrays; raises ParseError."""
     obj = read_json_object(path)
-    if obj.get("version") != VERSION:
+    if not _same(obj.get("version"), VERSION):
         raise ParseError(f"{path}: unsupported solution version {obj.get('version')!r}")
     parent, phase = obj.get("parent"), obj.get("phase")
     if not isinstance(parent, list) or not all(p is None or type(p) is int for p in parent):
@@ -48,11 +48,6 @@ def read_solution(path: PathLike) -> dict:
     if not isinstance(phase, list) or not all(type(i) is int for i in phase):
         raise ParseError(f"{path}: 'phase' must be an array of integers")
     return obj
-
-
-def _same(recorded: object, expected: object) -> bool:
-    """Equal in type and value, so JSON true/false cannot stand in for 1/0."""
-    return type(recorded) is type(expected) and recorded == expected
 
 
 def verify_solution(d: Digraph, solution: dict) -> list[str]:

@@ -3,9 +3,11 @@
 Each exhaustive one is guarded: it raises TooLarge above a size where
 exhaustive search stops being cheap.  `reference_pack_greedy` and
 `reference_pack_exact` are the packers written over frozensets, so they do
-not rely on the ascending order of `PackSet.members`.  `random_dag_corpus`
-and `random_edges` supply seeded inputs for property tests, and
-`add_expansion` builds branchings by hand.
+not rely on the ascending order of `PackSet.members`.
+`reference_greedy_expand` and `brute_force_is_maximal` look at every vertex,
+with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
+supply seeded inputs for property tests, and `add_expansion` builds
+branchings by hand.
 """
 
 from __future__ import annotations
@@ -228,6 +230,33 @@ def random_edges(rng: random.Random, n: int, m: int) -> list[Edge]:
         if u != v:
             edges[(min(u, v), max(u, v))] = None
     return list(edges)
+
+
+def available_heads(b: Branching, v: int) -> list[int]:
+    """Out-neighbors of ``v`` in ``b.host`` that still have in-degree 0."""
+    return [u for u in b.host.out_adj[v] if b.parent[u] is None]
+
+
+def brute_force_is_maximal(b: Branching, t: int) -> bool:
+    """True iff no out-degree-0 vertex has ``t`` free heads; oracle twin of `is_maximal`.
+
+    Checks every vertex by id, with no skip on the host out-degree.
+    """
+    return not any(
+        b.out_degree[v] == 0 and len(available_heads(b, v)) >= t
+        for v in range(b.host.vertex_count)
+    )
+
+
+def reference_greedy_expand(d: Digraph, t: int) -> Branching:
+    """Greedy t-expansion as one loop over the topological order; twin of `greedy_expand`."""
+    work = Branching(d)
+    for v in d.order:
+        if work.out_degree[v] == 0:
+            heads = available_heads(work, v)
+            if len(heads) >= t:
+                work._expand(v, heads)
+    return work
 
 
 def add_expansion(b: Branching, v: int, heads: Sequence[int]) -> Branching:

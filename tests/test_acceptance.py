@@ -24,7 +24,7 @@ from leafspan import (
 )
 from leafspan.certificates import two_phase_bounds
 from leafspan.cli import ALGORITHMS, main
-from oracles import brute_force_matching, brute_force_max_independent_set
+from oracles import available_heads, brute_force_matching, brute_force_max_independent_set
 
 
 def report(num, ok, label):
@@ -126,7 +126,7 @@ def test_criterion_6_matching_phase_is_optimal():
         pairs = set()
         for v in range(d.vertex_count):
             if f1.out_degree[v] == 0:
-                heads = f1.available_heads(v)
+                heads = available_heads(f1, v)
                 if len(heads) == 2:
                     pairs.add(tuple(sorted(heads)))
         if len(pairs) > 25:

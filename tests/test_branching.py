@@ -11,10 +11,12 @@ from leafspan import (
     NotTBranching,
     TooLarge,
     build_digraph,
+    greedy_expand,
+    max_expand,
 )
 from leafspan.certificates import PIPELINES
 from leafspan.verify import verify_solution
-from oracles import add_expansion, random_dag_corpus
+from oracles import add_expansion, available_heads, brute_force_is_maximal, random_dag_corpus
 
 
 def star(k):
@@ -162,6 +164,40 @@ def test_is_maximal_requires_t_branching():
         b.is_maximal(4)
 
 
+def test_scan_matches_brute_force_on_random_branchings():
+    # the greedy 3- and 4-branchings, the 2-branching after matching, and
+    # non-maximal ones grown by random expansions from the empty branching
+    rng = random.Random(3)
+    outcomes = set()
+    for d in random_dag_corpus(150, 1, 25, seed=29):
+        f3 = greedy_expand(d, 3)
+        branchings = [Branching(d), f3, greedy_expand(d, 4), max_expand(f3)[0]]
+        b = Branching(d)
+        for _ in range(4):
+            candidates = [v for v in range(d.vertex_count)
+                          if b.out_degree[v] == 0 and available_heads(b, v)]
+            if not candidates:
+                break
+            v = rng.choice(candidates)
+            heads = available_heads(b, v)
+            b = add_expansion(b, v, rng.sample(heads, rng.randint(1, len(heads))))
+            branchings.append(b)
+        for b in branchings:
+            for t in range(1, 6):
+                assert list(b.free_heads(t)) == [
+                    (v, available_heads(b, v)) for v in d.order
+                    if b.out_degree[v] == 0 and len(d.out_adj[v]) >= t
+                ]
+                if not b.is_t_branching(t):
+                    with pytest.raises(NotTBranching):
+                        b.is_maximal(t)
+                    continue
+                maximal = b.is_maximal(t)
+                assert maximal == brute_force_is_maximal(b, t)
+                outcomes.add((t, maximal))
+    assert outcomes == {(t, m) for t in range(1, 6) for m in (False, True)}
+
+
 def test_stats_match_independent_recount_on_random_expansions():
     rng = random.Random(7)
     for d in random_dag_corpus(50, 2, 30, seed=11):
@@ -169,12 +205,12 @@ def test_stats_match_independent_recount_on_random_expansions():
         for _ in range(50):
             candidates = [
                 v for v in range(d.vertex_count)
-                if b.out_degree[v] == 0 and b.available_heads(v)
+                if b.out_degree[v] == 0 and available_heads(b, v)
             ]
             if not candidates:
                 break
             v = rng.choice(candidates)
-            heads = b.available_heads(v)
+            heads = available_heads(b, v)
             take = rng.sample(heads, rng.randint(1, len(heads)))
             b._expand(v, take)
         assert_stats_match_recount(b)

@@ -2,7 +2,10 @@ import csv
 import gc
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,26 @@ def test_commands_are_looked_up_when_main_runs(tmp_path, monkeypatch):
     assert run("solve", "--algo", "maxleaves", "--input", str(tmp_path / "missing.json"),
                "--output", str(tmp_path / "sol.json")) == 0
     assert len(calls) == 1
+
+
+_NEW_MODULES = """
+import json, sys
+before = set(sys.modules)
+import leafspan.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # a diff, not a scan: site .pth files may preload third-party modules
+    path = [str(Path(leafspan.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    new = json.loads(out)
+    assert "leafspan.cli" in new
+    allowed = sys.stdlib_module_names | {"leafspan"}
+    assert [m for m in new if m.partition(".")[0] not in allowed] == []
 
 
 def test_solve_writes_dot(tmp_path):
@@ -324,6 +347,7 @@ def test_verify_rejects_unknown_algorithm(tmp_path, capsys, algorithm):
     {"phase": [False]},
     {"phase": [0.0]},
     {"phase": None},
+    {"version": 2.0},
 ])
 def test_malformed_solution_exits_3(tmp_path, capsys, change):
     inst, sol, obj = solved(tmp_path, "maxleaves", n=12, p=0.3, seed=2)

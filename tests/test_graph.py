@@ -44,6 +44,10 @@ def test_unreachable_vertex_rejected():
         (3, 0, [(0, 2), arc])  # not a pair of ints; bools are not ints here
         for arc in [(0, True), [False, 1], (0, 1.0), ("0", 1), (0,), (0, 1, 2), 0, None, "01",
                     [0, [1]]]
+    ] + [
+        # n or root not an int: written to a file, a bool or float is refused on reading
+        (2, True, [(1, 0)]), (2, 0.0, [(0, 1)]), (2, 1.0, [(1, 0)]),
+        (True, 0, []), (2.0, 0, [(0, 1)]), ("2", 0, [(0, 1)]),
     ],
 )
 def test_malformed_inputs(n, root, arcs):

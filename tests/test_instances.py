@@ -301,6 +301,8 @@ class TestSerialization:
         [
             "[1, 2, 3]",
             '{"version": 2, "n": 1, "root": 0, "arcs": []}',
+            '{"version": true, "n": 1, "root": 0, "arcs": []}',
+            '{"version": 1.0, "n": 1, "root": 0, "arcs": []}',
             '{"version": 1, "root": 0, "arcs": []}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[0, 1, 2]]}',
             '{"version": 1, "n": 2, "root": 0, "arcs": [[0, "x"]]}',

@@ -26,9 +26,11 @@ from leafspan import (
 from leafspan.certificates import two_phase_bounds
 from oracles import (
     add_expansion,
+    available_heads,
     brute_force_matching,
     brute_force_max_leaves,
     random_dag_corpus,
+    reference_greedy_expand,
 )
 
 
@@ -75,8 +77,15 @@ class TestGreedyExpand:
                 assert f.is_maximal(t)
                 # no internal vertex keeps an in-degree-0 out-neighbor
                 assert not any(
-                    f.out_degree[v] and f.available_heads(v) for v in range(d.vertex_count)
+                    f.out_degree[v] and available_heads(f, v) for v in range(d.vertex_count)
                 )
+
+
+    def test_matches_reference_loop_on_random_dags(self):
+        for d in random_dag_corpus(150, 1, 30, seed=31):
+            for t in range(1, 6):
+                f, ref = greedy_expand(d, t), reference_greedy_expand(d, t)
+                assert (f.parent, f.out_degree) == (ref.parent, ref.out_degree)
 
 
 class TestMaxExpand:
@@ -107,7 +116,7 @@ class TestMaxExpand:
             pairs = set()
             for v in range(d.vertex_count):
                 if f1.out_degree[v] == 0:
-                    heads = f1.available_heads(v)
+                    heads = available_heads(f1, v)
                     if len(heads) == 2:
                         pairs.add(tuple(sorted(heads)))
             f2, size = max_expand(f1)
