@@ -12,7 +12,6 @@ from .errors import (
     IllegalExpansion,
     LeafspanError,
     MalformedInput,
-    NotReducedInstance,
     NotRooted,
     NotTBranching,
     ParseError,
@@ -24,7 +23,6 @@ from .instances import (
     UndirectedGraphInstance,
     gen_adversarial_family,
     gen_random_rooted_dag,
-    leaves_to_independent_set,
     read_instance,
     reduce_independent_set,
     write_dot,
@@ -67,7 +65,6 @@ __all__ = [
     "gen_adversarial_family",
     "gen_random_rooted_dag",
     "greedy_expand",
-    "leaves_to_independent_set",
     "max_expand",
     "max_leaves",
     "max_leaves_packing",
@@ -83,7 +80,6 @@ __all__ = [
     "IllegalExpansion",
     "LeafspanError",
     "MalformedInput",
-    "NotReducedInstance",
     "NotRooted",
     "NotTBranching",
     "ParseError",

@@ -21,16 +21,14 @@ class BranchingStats:
     """Component/leaf counters of a branching.
 
     ``N`` is the number of vertices lying in non-trivial (>= 2 vertex)
-    components and ``k`` the number of such components.  ``components`` counts
-    all components including singletons; ``arcs`` always equals ``N - k``.
+    components, ``k`` the number of such components, and ``leaves`` the
+    number of out-degree-0 vertices, isolated ones included.  The branching
+    has ``N - k`` arcs.
     """
 
-    n: int
     N: int
     k: int
     leaves: int
-    components: int
-    arcs: int
 
 
 class Branching:
@@ -154,16 +152,11 @@ class Branching:
         one parentless vertex, and it is a singleton iff that vertex has
         out-degree 0.
         """
-        n = self.host.vertex_count
-        components = self.parent.count(None)
         isolated = [d for p, d in zip(self.parent, self.out_degree) if p is None].count(0)
         return BranchingStats(
-            n=n,
-            N=n - isolated,
-            k=components - isolated,
+            N=self.host.vertex_count - isolated,
+            k=self.parent.count(None) - isolated,
             leaves=self.out_degree.count(0),
-            components=components,
-            arcs=n - components,
         )
 
     def is_t_branching(self, t: int) -> bool:

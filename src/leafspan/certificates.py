@@ -49,15 +49,13 @@ def two_phase_bounds(
     )
 
 
-def two_phase_certificate_ok(leaves: int, N1: int, k1: int, N2: int, k2: int) -> bool:
+def two_phase_certificate_ok(leaves: int, u2: Fraction, u3: Fraction) -> bool:
     """Machine-checkable inequality chain implying the 3/2 ratio.
 
-    Requires leaves >= the lower bound and
-    leaves >= (U3-1)/3 + (U2-1)/3 + 1, both exactly.
+    ``u2`` and ``u3`` are the upper bounds U2 and U3 of `two_phase_bounds`;
+    requires leaves >= (U3-1)/3 + (U2-1)/3 + 1, exactly.
     """
-    lb, u2, u3 = two_phase_bounds(N1, k1, N2, k2)
-    chain = (u3 - 1) / 3 + (u2 - 1) / 3 + 1
-    return leaves >= lb and leaves >= chain
+    return leaves >= (u3 - 1) / 3 + (u2 - 1) / 3 + 1
 
 
 def baseline_lower_bound(N: int, k: int) -> Fraction:
@@ -192,10 +190,9 @@ class SolveReport:
 
 def _two_phase(s, alpha, counts):
     (s1, s2, st) = s
+    bounds = two_phase_bounds(s1.N, s1.k, s2.N, s2.k)
     chain = "leaf_count >= (ub_lemma3 - 1)/3 + (ub_lemma2 - 1)/3 + 1"
-    return two_phase_bounds(s1.N, s1.k, s2.N, s2.k), {
-        chain: two_phase_certificate_ok(st.leaves, s1.N, s1.k, s2.N, s2.k)
-    }
+    return bounds, {chain: two_phase_certificate_ok(st.leaves, *bounds[1:])}
 
 
 def _baseline(s, alpha, counts):

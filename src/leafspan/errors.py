@@ -33,9 +33,5 @@ class TooLarge(LeafspanError):
     """Instance exceeds the guard of an exhaustive/exact routine."""
 
 
-class NotReducedInstance(LeafspanError):
-    """The digraph does not have the shape produced by the reduction."""
-
-
 class ParseError(LeafspanError):
     """An instance or solution file failed to parse or validate."""

@@ -138,19 +138,6 @@ class Digraph:
         """Lexicographically sorted ``(tail, head)`` pairs, derived from ``out_adj``."""
         return tuple([(u, v) for u, heads in enumerate(self.out_adj) for v in heads])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.root == other.root
-            and self.out_adj == other.out_adj
-            and self.vertex_weights == other.vertex_weights
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.root, self.out_adj, self.vertex_weights))
-
     def __repr__(self) -> str:
         return (
             f"Digraph(n={self.vertex_count}, root={self.root}, "

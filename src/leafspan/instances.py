@@ -22,33 +22,41 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .branching import Branching
-from .errors import (
-    LeafspanError,
-    MalformedInput,
-    NotReducedInstance,
-    ParseError,
-)
+from .errors import LeafspanError, MalformedInput, ParseError
 from .graph import Arc, Digraph, build_digraph
 from .matching import _normalize_edges
 
 PathLike = Union[str, Path]
 
 
+def _require_int(name: str, value: object, least: int) -> None:
+    # type() rather than isinstance(): True/False must not pass as 1/0
+    if type(value) is not int or value < least:
+        raise MalformedInput(f"{name} must be an integer >= {least}, got {value!r:.20}")
+
+
 @dataclass(frozen=True)
 class UndirectedGraphInstance:
-    """A simple undirected graph: vertices 0..n-1, normalized edge tuples."""
+    """A simple undirected graph: vertices 0..n-1, normalized edge tuples.
+
+    The constructor validates and normalizes: repeated edges merge in either
+    orientation, and the edges are stored sorted as ``(u, v)`` with ``u < v``.
+    """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        _require_int("vertex_count", self.vertex_count, 0)
+        edges = tuple(_normalize_edges(self.vertex_count, self.edges, merge_repeats=True))
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
     def build(
         cls, vertex_count: int, edges: Iterable[tuple[int, int]]
     ) -> "UndirectedGraphInstance":
-        if vertex_count < 0:
-            raise MalformedInput("vertex_count must be nonnegative")
-        # repeats merge in either orientation
-        return cls(vertex_count, tuple(_normalize_edges(vertex_count, edges, merge_repeats=True)))
+        """Same as the constructor, which does all the checks."""
+        return cls(vertex_count, edges)
 
 
 def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Digraph:
@@ -59,11 +67,10 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     random earlier vertex, which guarantees rootedness; every other forward
     pair becomes an arc independently with ``extra_arc_probability``.
     """
-    if n < 1:
-        raise MalformedInput("n must be >= 1")
+    _require_int("n", n, 1)
     p = extra_arc_probability
-    if not 0 <= p <= 1:
-        raise MalformedInput("extra_arc_probability must be in [0, 1]")
+    if type(p) not in (int, float) or not 0 <= p <= 1:
+        raise MalformedInput(f"extra_arc_probability must be a number in [0, 1], got {p!r:.20}")
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
@@ -127,8 +134,7 @@ def gen_adversarial_family(k: int) -> Digraph:
 
     The ratio approaches 4/3 as k grows.
     """
-    if k < 1:
-        raise MalformedInput("k must be >= 1")
+    _require_int("k", k, 1)
     m = k + 2
     root = 0
     decoys = list(range(1, m + 1))
@@ -161,43 +167,6 @@ def reduce_independent_set(g: UndirectedGraphInstance) -> Digraph:
         arcs.append((1 + v, 1 + n + j))
     weights = [0] + [1] * n + [0] * m
     return build_digraph(n + m + 1, 0, arcs, weights)
-
-
-def _reduced_shape(d: Digraph) -> tuple[int, int]:
-    """Validate the reduction layout of ``d``; return (n, m) of the source graph."""
-    w = d.vertex_weights
-    if w is None or d.root != 0 or w[0] != 0:
-        raise NotReducedInstance("missing weights or root layout")
-    n = 0
-    while n + 1 < d.vertex_count and w[n + 1] == 1:
-        n += 1
-    m = d.vertex_count - n - 1
-    if any(w[1 + n + j] != 0 for j in range(m)):
-        raise NotReducedInstance("weight layout is not [0, 1^n, 0^m]")
-    if tuple(d.out_adj[0]) != tuple(range(1, n + 1)):
-        raise NotReducedInstance("root does not point at exactly the weight-1 vertices")
-    for j in range(m):
-        e = 1 + n + j
-        if d.out_adj[e] or len(d.in_adj[e]) != 2:
-            raise NotReducedInstance(f"vertex {e} is not a valid edge vertex")
-        if any(not 1 <= u <= n for u in d.in_adj[e]):
-            raise NotReducedInstance(f"edge vertex {e} has a non-graph in-neighbor")
-    if sum(map(len, d.out_adj)) != n + 2 * m:
-        raise NotReducedInstance("arc count does not match n + 2m")
-    return n, m
-
-
-def leaves_to_independent_set(t: Branching) -> set[int]:
-    """Map the weight-1 leaves of an arborescence back to source vertex ids.
-
-    The input must be a spanning arborescence of a digraph produced by
-    `reduce_independent_set`; the returned set is independent in the source
-    graph by construction.
-    """
-    n, _ = _reduced_shape(t.host)
-    if not t.is_spanning_arborescence():
-        raise NotReducedInstance("input is not a spanning arborescence")
-    return {i for i in range(n) if t.out_degree[1 + i] == 0}
 
 
 def write_instance(

@@ -6,9 +6,10 @@ and the solver's report.  Phase ``i`` of the run is the prefix of the
 arborescence made of the arcs into vertices whose index is at most ``i``.
 Verification trusts only the instance and those two arrays: it rebuilds
 every phase, checks each is a t-branching for its pipeline's t, rebuilds
-the report from the phases with the code the solver used (`SolveReport`
-and the pipeline's record in `certificates.PIPELINES`), and compares it
-with the recorded one key by key.  The recorded counts (such as
+the phase array and the report from the phases with the code the solver
+used (`SolveReport` and the pipeline's record in `certificates.PIPELINES`),
+and compares them with the recorded ones, the phase array entry by entry
+and the report key by key.  The recorded counts (such as
 ``selected_triples``) are the only solver claims it takes, and the
 certificate's inequalities check them.
 """
@@ -96,6 +97,9 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         return problems
 
     expected = SolveReport.from_phases(pipeline, phases, counts)
+    if phase != expected.phase:
+        v = next(v for v in range(n) if phase[v] != expected.phase[v])
+        problems.append(f"phase[{v}] is {phase[v]}, recomputation gives {expected.phase[v]}")
     for key, value in expected.to_dict().items():
         if not _same(report.get(key), value):
             problems.append(f"report {key} is {report.get(key)!r}, recomputation gives {value!r}")

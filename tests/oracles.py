@@ -7,7 +7,9 @@ not rely on the ascending order of `PackSet.members`.
 `reference_greedy_expand` and `brute_force_is_maximal` look at every vertex,
 with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
 supply seeded inputs for property tests, and `add_expansion` builds
-branchings by hand.
+branchings by hand.  `leaves_to_independent_set` maps a solved
+`reduce_independent_set` instance back to the source graph, and
+`graph_fields` compares two digraphs field by field.
 """
 
 from __future__ import annotations
@@ -134,6 +136,16 @@ def brute_force_max_independent_set(
 
     size, chosen = rec((1 << n) - 1)
     return size, {v for v in range(n) if (chosen >> v) & 1}
+
+
+def leaves_to_independent_set(t: Branching) -> set[int]:
+    """Source vertices left as leaves by ``t``, an arborescence of a reduction."""
+    return {v - 1 for v in t.host.out_adj[0] if t.out_degree[v] == 0}
+
+
+def graph_fields(d: Digraph) -> tuple:
+    """What defines ``d``, for comparing two builds; `Digraph` compares by identity."""
+    return (d.vertex_count, d.root, d.out_adj, d.in_adj, d.order, d.vertex_weights)
 
 
 def _reference_order_key(s: PackSet) -> tuple:

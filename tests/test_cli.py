@@ -97,6 +97,15 @@ def test_runtime_imports_only_the_standard_library():
     assert [m for m in new if m.partition(".")[0] not in allowed] == []
 
 
+def test_every_exported_name_resolves():
+    names = leafspan.__all__
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(leafspan, name)] == []
+    namespace: dict = {}
+    exec("from leafspan import *", namespace)  # a fresh namespace
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+
+
 def test_solve_writes_dot(tmp_path):
     inst = gen_random(tmp_path)
     sol = tmp_path / "sol.json"
@@ -306,7 +315,8 @@ def verify_diagnostics(capsys, inst, sol, obj):
 
 def test_forged_phases_and_bounds_fail_verify(tmp_path, capsys):
     # every vertex in phase T and every bound "1": the phase statistics and
-    # bounds recompute consistently, but 1 is below the leaf count
+    # bounds recompute consistently, but 1 is below the leaf count, and the
+    # root's entry must stay 0
     inst, sol, obj = solved(tmp_path, "maxleaves")
     obj["phase"] = [2] * len(obj["parent"])
     rep = obj["report"]
@@ -314,7 +324,20 @@ def test_forged_phases_and_bounds_fail_verify(tmp_path, capsys):
     err = verify_diagnostics(capsys, inst, sol, obj)
     assert "ub_lemma2 >= leaf_count" in err and "ub_lemma3 >= leaf_count" in err
     mismatches = [line for line in err.splitlines() if "recomputation" in line]
-    assert mismatches == ["verify: report certificate_ok is True, recomputation gives False"]
+    root = obj["parent"].index(None)
+    assert mismatches == [f"verify: phase[{root}] is 2, recomputation gives 0",
+                          "verify: report certificate_ok is True, recomputation gives False"]
+
+
+@pytest.mark.parametrize("algo", ["maxleaves", "w3dm-greedy", "expansion2"])
+def test_forged_root_phase_fails_verify(tmp_path, capsys, algo):
+    # the root has no parent, so no phase is rebuilt differently: only the
+    # phase array itself can show the forgery
+    inst, sol, obj = solved(tmp_path, algo, n=40, p=0.1, seed=3)
+    root = obj["parent"].index(None)
+    obj["phase"][root] = 1
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert err == f"verify: phase[{root}] is 1, recomputation gives 0\n"
 
 
 def test_forged_claimed_alpha_fails_verify(tmp_path, capsys):

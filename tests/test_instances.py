@@ -8,7 +8,6 @@ import pytest
 from leafspan import (
     CycleDetected,
     MalformedInput,
-    NotReducedInstance,
     NotRooted,
     ParseError,
     TooLarge,
@@ -17,14 +16,18 @@ from leafspan import (
     exact_max_leaves,
     gen_adversarial_family,
     gen_random_rooted_dag,
-    leaves_to_independent_set,
     max_leaves,
     read_instance,
     reduce_independent_set,
     write_dot,
     write_instance,
 )
-from oracles import brute_force_max_independent_set, random_dag_corpus
+from oracles import (
+    brute_force_max_independent_set,
+    graph_fields,
+    leaves_to_independent_set,
+    random_dag_corpus,
+)
 
 
 def random_undirected(rng, n, p):
@@ -38,14 +41,15 @@ class TestGenerator:
     def test_deterministic_bytes(self, tmp_path):
         a = gen_random_rooted_dag(50, 0.2, 7)
         b = gen_random_rooted_dag(50, 0.2, 7)
-        assert a == b
+        assert graph_fields(a) == graph_fields(b)
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
         write_instance(a, pa)
         write_instance(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_different_seed_differs(self):
-        assert gen_random_rooted_dag(50, 0.2, 7) != gen_random_rooted_dag(50, 0.2, 8)
+        a, b = gen_random_rooted_dag(50, 0.2, 7), gen_random_rooted_dag(50, 0.2, 8)
+        assert graph_fields(a) != graph_fields(b)
 
     def test_single_vertex(self):
         d = gen_random_rooted_dag(1, 0.5, 0)
@@ -79,6 +83,22 @@ class TestGenerator:
             gen_random_rooted_dag(5, -0.1, 1)
         with pytest.raises(MalformedInput):
             gen_random_rooted_dag(5, 1.5, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_rooted_dag(3.0, 0.5, 1),
+    lambda: gen_random_rooted_dag(5, True, 1),
+    lambda: gen_adversarial_family(2.0),
+    lambda: gen_adversarial_family(True),
+    lambda: UndirectedGraphInstance.build(3.0, [(0, 1)]),
+    lambda: UndirectedGraphInstance.build(True, []),
+    lambda: UndirectedGraphInstance(3, [(0, True)]),
+], ids=["dag-float-n", "dag-bool-p", "family-float-k", "family-bool-k",
+        "build-float-n", "build-bool-n", "constructor-bool-id"])
+def test_non_integer_sizes_and_ids_are_malformed(make):
+    # each once built a graph from the bool or raised a bare TypeError
+    with pytest.raises(MalformedInput):
+        make()
 
 
 class TestAdversarialFamily:
@@ -143,6 +163,7 @@ class TestReduction:
     def test_build_merges_repeats_in_either_orientation(self):
         g = UndirectedGraphInstance.build(3, [(1, 0), (0, 1), (2, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 2))
+        assert UndirectedGraphInstance(3, [(2, 1), (1, 0), (0, 1)]) == g
 
     def test_triangle_weighted_optimum(self):
         g = UndirectedGraphInstance.build(3, [(0, 1), (0, 2), (1, 2)])
@@ -173,12 +194,6 @@ class TestReduction:
             # independence of the mapped-back set
             for u, v in g.edges:
                 assert not (u in chosen and v in chosen)
-
-    def test_rejects_non_reduced_instance(self):
-        d = build_digraph(3, 0, [(0, 1), (0, 2)])
-        _, t = exact_max_leaves(d)
-        with pytest.raises(NotReducedInstance):
-            leaves_to_independent_set(t)
 
 
 class TestBruteForceIndependentSet:
@@ -226,16 +241,13 @@ class TestSerialization:
         d = gen_random_rooted_dag(25, 0.3, 11)
         p = tmp_path / "i.json"
         write_instance(d, p, provenance="random n=25 p=0.3 seed=11")
-        assert read_instance(p) == d
+        assert graph_fields(read_instance(p)) == graph_fields(d)
 
     def test_round_trip_on_random_corpus(self, tmp_path):
         p = tmp_path / "i.json"
         for d in random_dag_corpus(40, 1, 60, seed=21):
             write_instance(d, p)
-            back = read_instance(p)
-            assert back == d and hash(back) == hash(d)
-            assert (back.arcs, back.out_adj, back.in_adj, back.order) == (
-                d.arcs, d.out_adj, d.in_adj, d.order)
+            assert graph_fields(read_instance(p)) == graph_fields(d)
 
     def test_written_as_one_line_of_compact_json(self, tmp_path):
         d = build_digraph(4, 0, [(0, 2), (0, 1), (1, 3), (2, 3)])
@@ -251,8 +263,8 @@ class TestSerialization:
         p = tmp_path / "w.json"
         write_instance(d, p)
         back = read_instance(p)
-        assert back == d
-        assert back.vertex_weights == d.vertex_weights
+        assert back.vertex_weights == (0, 1, 1, 1, 0)
+        assert graph_fields(back) == graph_fields(d)
 
     def test_parse_error_bad_json(self, tmp_path):
         p = tmp_path / "bad.json"

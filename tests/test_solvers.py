@@ -63,7 +63,7 @@ class TestGreedyExpand:
     def test_star_two_children_unchanged(self):
         d = star(2)
         f = greedy_expand(d, 3)
-        assert f.stats().arcs == 0
+        assert f.arcs() == []
 
     def test_nonpositive_t_rejected(self):
         with pytest.raises(PreconditionViolated):
