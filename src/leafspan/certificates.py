@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .branching import Branching, BranchingStats
 from .packing import EXACT_PACKER, GREEDY_PACKER
@@ -91,9 +91,10 @@ class Pipeline:
     ``phases`` lists ``(phase name, t)``: phase ``i`` is a t-branching that
     contains phase ``i - 1``, and the last is the spanning arborescence
     ``T``.  ``alpha`` is the pinned ratio of the packing solver (None when
-    the pipeline packs nothing).  ``rule`` maps the phase statistics, alpha
-    and the solver's ``counts`` to the values of the ``bounds`` named here
-    and any inequalities beyond "leaf_count >= lb" and "ub >= leaf_count".
+    the pipeline packs nothing).  ``counts[i]`` names the expansions from
+    phase ``i`` to ``i + 1``.  ``rule`` maps the phase statistics and alpha
+    to the values of the ``bounds`` named here and any inequalities beyond
+    "leaf_count >= lb", "ub >= leaf_count" and the counts' identities.
     ``solve(api, d)`` runs the pipeline with the solver functions found on
     ``api`` and returns the arborescence and its `SolveReport`.
     """
@@ -107,11 +108,24 @@ class Pipeline:
     solve: Callable[[Any, Any], tuple[Branching, "SolveReport"]]
 
     def certify(
-        self, stats: Sequence[BranchingStats], counts: Mapping[str, int]
-    ) -> tuple[dict[str, Fraction], dict[str, bool]]:
-        """Named bounds and named inequalities from per-phase statistics."""
+        self, stats: Sequence[BranchingStats]
+    ) -> tuple[dict[str, int], dict[str, Fraction], dict[str, bool]]:
+        """Counts, named bounds and named inequalities from per-phase statistics.
+
+        Each expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
+        ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
+        less t * count sum (children - t) over expanded leaves plus the arcs
+        under already-internal vertices: "t * count == arcs added" holds
+        exactly when phase ``i + 1`` adds only t-expansions of leaves.
+        """
+        counts, identities = {}, {}
+        for i, name in enumerate(self.counts):
+            a, b, t = stats[i], stats[i + 1], self.phases[i + 1][1]
+            counts[name] = a.leaves - b.leaves
+            identity = f"{t} * {name} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
+            identities[identity] = t * counts[name] == (b.N - b.k) - (a.N - a.k)
         leaves = stats[-1].leaves
-        values, checks = self.rule(stats, self.alpha, counts)
+        values, checks = self.rule(stats, self.alpha)
         bounds = dict(zip(self.bounds, values))
         inequalities = {}
         for b, v in bounds.items():
@@ -119,7 +133,7 @@ class Pipeline:
                 inequalities[f"leaf_count >= {b}"] = leaves >= v
             else:
                 inequalities[f"{b} >= leaf_count"] = v >= leaves
-        return bounds, {**inequalities, **checks}
+        return counts, bounds, {**inequalities, **identities, **checks}
 
 
 @dataclass
@@ -139,10 +153,8 @@ class SolveReport:
     leaf_weight: Optional[int] = None
 
     @classmethod
-    def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching],
-                    counts: Optional[dict] = None) -> "SolveReport":
+    def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching]) -> "SolveReport":
         """Report on the branchings of each phase, the arborescence last."""
-        counts = counts or {}
         stats = [b.stats() for b in phases]
         t = phases[-1]
         phase = [0] * t.host.vertex_count
@@ -152,8 +164,7 @@ class SolveReport:
             pipeline,
             {name: s for (name, _), s in zip(pipeline.phases, stats)},
             phase,
-            counts,
-            *pipeline.certify(stats, counts),
+            *pipeline.certify(stats),
             t.leaf_weight() if t.host.vertex_weights is not None else None,
         )
 
@@ -188,31 +199,22 @@ class SolveReport:
         return out
 
 
-def _two_phase(s, alpha, counts):
+def _two_phase(s, alpha):
     (s1, s2, st) = s
     bounds = two_phase_bounds(s1.N, s1.k, s2.N, s2.k)
     chain = "leaf_count >= (ub_lemma3 - 1)/3 + (ub_lemma2 - 1)/3 + 1"
     return bounds, {chain: two_phase_certificate_ok(st.leaves, *bounds[1:])}
 
 
-def _baseline(s, alpha, counts):
+def _baseline(s, alpha):
     (s1, _) = s
     return (baseline_lower_bound(s1.N, s1.k), upper_bound_from_two_branching(s1.N, s1.k)), {}
 
 
-def _packing(s, alpha, counts):
+def _packing(s, alpha):
     (s1, s2, s3, _) = s
     nk = (s1.N, s1.k, s2.N, s2.k, s3.N, s3.k)
-    a1, a2, a3 = s1.N - s1.k, s2.N - s2.k, s3.N - s3.k
-    triples, pairs = counts["selected_triples"], counts["selected_pairs"]
-    # leaf-loss identities: each applied selection costs exactly one leaf
-    return (packing_lower_bound(*nk), packing_upper_bound(*nk, alpha)), {
-        "leaves(F1) - leaves(F2) == selected_triples": s1.leaves - s2.leaves == triples,
-        "3 * selected_triples == (N2 - k2) - (N1 - k1)": 3 * triples == a2 - a1,
-        "leaves(F2) - leaves(F3) == selected_pairs": s2.leaves - s3.leaves == pairs,
-        "2 * selected_pairs == (N3 - k3) - (N2 - k2)": 2 * pairs == a3 - a2,
-        "N1 - k1 <= N2 - k2 <= N3 - k3": a1 <= a2 <= a3,
-    }
+    return (packing_lower_bound(*nk), packing_upper_bound(*nk, alpha)), {}
 
 
 def _solve_exact(api, d):
@@ -228,7 +230,7 @@ PIPELINES: dict[str, Pipeline] = {
     p.name: p
     for p in (
         Pipeline(
-            "maxleaves", (("F1", 3), ("F2", 2), ("T", 1)), None, (),
+            "maxleaves", (("F1", 3), ("F2", 2), ("T", 1)), None, ("matching_size",),
             ("lb_lemma1", "ub_lemma2", "ub_lemma3"), _two_phase,
             lambda api, d: api.max_leaves(d),
         ),
@@ -249,7 +251,7 @@ PIPELINES: dict[str, Pipeline] = {
         ),
         Pipeline(
             "exact", (("T", 1),), None, (), (),
-            lambda s, alpha, counts: ((), {}), _solve_exact,
+            lambda s, alpha: ((), {}), _solve_exact,
         ),
     )
 }

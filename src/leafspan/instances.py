@@ -68,6 +68,8 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     pair becomes an arc independently with ``extra_arc_probability``.
     """
     _require_int("n", n, 1)
+    if type(seed) is not int:
+        raise MalformedInput(f"seed must be an integer, got {seed!r:.20}")
     p = extra_arc_probability
     if type(p) not in (int, float) or not 0 <= p <= 1:
         raise MalformedInput(f"extra_arc_probability must be a number in [0, 1], got {p!r:.20}")

@@ -9,8 +9,8 @@ kept sorted.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from itertools import count
-from typing import Iterable
 
 from .errors import MalformedInput
 
@@ -22,9 +22,11 @@ def _normalize_edges(
 ) -> list[Edge]:
     """Sorted ``(u, v)`` edges with ``u < v``.
 
-    Raises MalformedInput for anything but a pair of distinct int ids in
-    range, and for a repeated edge unless ``merge_repeats`` keeps one copy.
+    Raises MalformedInput unless ``edges`` yields pairs of distinct int ids
+    in range, and for a repeated edge unless ``merge_repeats`` keeps one copy.
     """
+    if not isinstance(edges, Iterable):
+        raise MalformedInput(f"edges must be an iterable of pairs, got {edges!r:.20}")
     out: list[Edge] = []
     seen: set[Edge] = set()
     for edge in edges:

@@ -108,11 +108,10 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
 def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
     """The certified 3/2-ratio pipeline: 3-expansions, matching, attachment."""
     f1 = greedy_expand(d, 3)
-    f2, matching_size = max_expand(f1)
+    f2, _ = max_expand(f1)
     t = attach(f2)
     assert t.is_spanning_arborescence()
-    counts = {"matching_size": matching_size}
-    return t, SolveReport.from_phases(PIPELINES["maxleaves"], [f1, f2, t], counts)
+    return t, SolveReport.from_phases(PIPELINES["maxleaves"], [f1, f2, t])
 
 
 def expansion_baseline(d: Digraph) -> tuple[Branching, SolveReport]:
@@ -147,23 +146,19 @@ def max_leaves_packing(
                 sets += [PackSet((a, b), 1, v), PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
     selection = sorted(packer.solve(sets), key=itemgetter(2))  # by candidate
-    triples = [s for s in selection if len(s.members) == 3]
-    pairs = [s for s in selection if len(s.members) == 2]
-
-    f2 = f1.copy()
-    for s in triples:
-        f2._expand(s.candidate, s.members)
-    f3 = f2.copy()
-    for s in pairs:
-        f3._expand(s.candidate, s.members)
-    t = attach(f3)
+    phases = [f1]
+    for size in (3, 2):  # F2 adds the selected triples, F3 the pairs
+        phases.append(phases[-1].copy())
+        for s in selection:
+            if len(s.members) == size:
+                phases[-1]._expand(s.candidate, s.members)
+    t = attach(phases[-1])
     assert t.is_spanning_arborescence()
 
     pipeline = replace(
         PIPELINES["w3dm-exact"], name=f"w3dm-{packer.name}", alpha=packer.claimed_alpha
     )
-    counts = {"selected_triples": len(triples), "selected_pairs": len(pairs)}
-    return t, SolveReport.from_phases(pipeline, [f1, f2, f3, t], counts)
+    return t, SolveReport.from_phases(pipeline, [*phases, t])
 
 
 def _exact_guard(d: Digraph) -> None:

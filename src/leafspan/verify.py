@@ -9,9 +9,8 @@ every phase, checks each is a t-branching for its pipeline's t, rebuilds
 the phase array and the report from the phases with the code the solver
 used (`SolveReport` and the pipeline's record in `certificates.PIPELINES`),
 and compares them with the recorded ones, the phase array entry by entry
-and the report key by key.  The recorded counts (such as
-``selected_triples``) are the only solver claims it takes, and the
-certificate's inequalities check them.
+and the report key by key, counts such as ``selected_triples`` included:
+no field of the report is taken on the solver's word.
 """
 
 from __future__ import annotations
@@ -90,13 +89,8 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         phases.append(t.restricted([p <= i for p in phase]))
         if not phases[-1].is_t_branching(t_min):
             problems.append(f"phase {name} is not a {t_min}-branching")
-    counts = {key: report.get(key) for key in pipeline.counts}
-    bad = [key for key, value in counts.items() if type(value) is not int]
-    if bad:
-        problems.append(f"report counts {bad} missing or not integers")
-        return problems
 
-    expected = SolveReport.from_phases(pipeline, phases, counts)
+    expected = SolveReport.from_phases(pipeline, phases)
     if phase != expected.phase:
         v = next(v for v in range(n) if phase[v] != expected.phase[v])
         problems.append(f"phase[{v}] is {phase[v]}, recomputation gives {expected.phase[v]}")

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import leafspan.cli
-from leafspan import build_digraph
-from leafspan.certificates import PIPELINES, packing_upper_bound
+from leafspan import Branching, build_digraph, read_instance
+from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
@@ -320,13 +320,54 @@ def test_forged_phases_and_bounds_fail_verify(tmp_path, capsys):
     inst, sol, obj = solved(tmp_path, "maxleaves")
     obj["phase"] = [2] * len(obj["parent"])
     rep = obj["report"]
-    rep.update(N1=0, k1=0, N2=0, k2=0, lb_lemma1="1", ub_lemma2="1", ub_lemma3="1")
+    rep.update(N1=0, k1=0, N2=0, k2=0, matching_size=0,
+               lb_lemma1="1", ub_lemma2="1", ub_lemma3="1")
     err = verify_diagnostics(capsys, inst, sol, obj)
     assert "ub_lemma2 >= leaf_count" in err and "ub_lemma3 >= leaf_count" in err
     mismatches = [line for line in err.splitlines() if "recomputation" in line]
     root = obj["parent"].index(None)
     assert mismatches == [f"verify: phase[{root}] is 2, recomputation gives 0",
                           "verify: report certificate_ok is True, recomputation gives False"]
+
+
+@pytest.mark.parametrize("value", [999, "lots", None])
+def test_forged_matching_size_fails_verify(tmp_path, capsys, value):
+    # None stands for a report without the key
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=40, p=0.1, seed=0)
+    rep = obj["report"]
+    assert rep["matching_size"] == 1
+    if value is None:
+        del rep["matching_size"]
+    else:
+        rep["matching_size"] = value
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert err == f"verify: report matching_size is {value!r}, recomputation gives 1\n"
+
+
+@pytest.mark.parametrize("algo, vertex, children, identity", [
+    ("maxleaves", 12, [9, 11, 22, 33], "2 * matching_size == (N2 - k2) - (N1 - k1)"),
+    ("w3dm-greedy", 8, [4, 24, 31], "2 * selected_pairs == (N3 - k3) - (N2 - k2)"),
+], ids=["maxleaves", "w3dm-greedy"])
+def test_expansion_moved_into_the_pairs_phase_fails_verify(
+        tmp_path, capsys, algo, vertex, children, identity):
+    # move one expansion of F1 (maxleaves) or F2 (w3dm) into the next
+    # phase, a 2-branching: every phase stays a t-branching and the report
+    # is recomputed to match, but that phase now costs one leaf for more
+    # than two arcs
+    inst, sol, obj = solved(tmp_path, algo, n=40, p=0.1, seed=0)
+    pipeline, phase = PIPELINES[algo], obj["phase"]
+    moved = [v for v, p in enumerate(obj["parent"]) if p == vertex]
+    assert moved == children and len({phase[v] for v in moved}) == 1
+    for v in moved:
+        phase[v] += 1
+    t = Branching.from_parents(read_instance(inst), obj["parent"])
+    phases = [t.restricted([p <= i for p in phase]) for i in range(len(pipeline.phases))]
+    assert all(f.is_t_branching(t_min) for f, (_, t_min) in zip(phases, pipeline.phases))
+    obj["report"] = {**SolveReport.from_phases(pipeline, phases).to_dict(),
+                     "certificate_ok": True}
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert err.splitlines() == ["verify: report certificate_ok is True, recomputation gives False",
+                                f"verify: certificate inequality fails: {identity}"]
 
 
 @pytest.mark.parametrize("algo", ["maxleaves", "w3dm-greedy", "expansion2"])

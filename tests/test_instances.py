@@ -17,6 +17,7 @@ from leafspan import (
     gen_adversarial_family,
     gen_random_rooted_dag,
     max_leaves,
+    max_matching,
     read_instance,
     reduce_independent_set,
     write_dot,
@@ -84,6 +85,10 @@ class TestGenerator:
         with pytest.raises(MalformedInput):
             gen_random_rooted_dag(5, 1.5, 1)
 
+    def test_negative_seed_is_valid(self):
+        # the command line's --seed accepts negative integers
+        assert gen_random_rooted_dag(5, 0.5, -3).vertex_count == 5
+
 
 @pytest.mark.parametrize("make", [
     lambda: gen_random_rooted_dag(3.0, 0.5, 1),
@@ -93,10 +98,19 @@ class TestGenerator:
     lambda: UndirectedGraphInstance.build(3.0, [(0, 1)]),
     lambda: UndirectedGraphInstance.build(True, []),
     lambda: UndirectedGraphInstance(3, [(0, True)]),
+    lambda: gen_random_rooted_dag(5, 0.5, [1]),
+    lambda: gen_random_rooted_dag(5, 0.5, 1.5),
+    lambda: gen_random_rooted_dag(5, 0.5, "x"),
+    lambda: gen_random_rooted_dag(5, 0.5, True),
+    lambda: max_matching(3, None),
+    lambda: UndirectedGraphInstance(3, None),
 ], ids=["dag-float-n", "dag-bool-p", "family-float-k", "family-bool-k",
-        "build-float-n", "build-bool-n", "constructor-bool-id"])
+        "build-float-n", "build-bool-n", "constructor-bool-id", "dag-list-seed",
+        "dag-float-seed", "dag-str-seed", "dag-bool-seed", "matching-none-edges",
+        "constructor-none-edges"])
 def test_non_integer_sizes_and_ids_are_malformed(make):
-    # each once built a graph from the bool or raised a bare TypeError
+    # each once built a graph from the bool, seeded from the float or
+    # string, or raised a bare TypeError
     with pytest.raises(MalformedInput):
         make()
 

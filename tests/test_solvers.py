@@ -163,7 +163,7 @@ class TestMaxLeaves:
             # leaves lost in the matching phase equal the matching size
             s1, s2 = rep.phase_stats["F1"], rep.phase_stats["F2"]
             lost = s1.leaves - s2.leaves
-            assert lost == rep.counts["matching_size"]
+            assert lost == rep.counts["matching_size"] == max_expand(greedy_expand(d, 3))[1]
             assert 2 * lost == (s2.N - s2.k) - (s1.N - s1.k)
             assert s1.N - s1.k <= s2.N - s2.k
 
@@ -207,6 +207,23 @@ class TestMaxLeavesPacking:
             opt, _ = exact_max_leaves(d)
             assert 3 * opt <= 4 * rep.leaf_count  # exact packer: ratio 4/3
             assert opt <= rep.bounds["ub_lemma5"]
+
+    def test_counts_are_the_sets_the_packer_returned(self):
+        sizes = []
+        for d in random_dag_corpus(150, 3, 30, seed=47):
+            for solve in (pack_greedy, pack_exact):
+                returned = []
+
+                def spy(sets):
+                    returned.extend(solve(sets))
+                    return returned
+
+                _, rep = max_leaves_packing(d, Packer("spy", Fraction(3), spy))
+                run = [len(s.members) for s in returned]
+                assert rep.counts["selected_triples"] == run.count(3)
+                assert rep.counts["selected_pairs"] == run.count(2)
+                sizes += run
+        assert 2 in sizes and 3 in sizes
 
     def test_user_packer_certifies_with_its_claimed_alpha(self):
         packer = Packer("mine", Fraction(2), pack_greedy)
