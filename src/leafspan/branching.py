@@ -181,10 +181,6 @@ class Branching:
         """
         return self.parent[self.host.root] is None and self.parent.count(None) == 1
 
-    def arcs(self) -> list[Arc]:
-        """The ``(parent, child)`` arcs, ordered by child."""
-        return [(p, v) for v, p in enumerate(self.parent) if p is not None]
-
     def __repr__(self) -> str:
         arcs = self.host.vertex_count - self.parent.count(None)
         return f"Branching(arcs={arcs}, leaves={self.leaf_count})"

@@ -133,11 +133,6 @@ class Digraph:
             raise NotRooted(f"vertex {missing} unreachable from root {self.root}")
         return tuple(order)
 
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        """Lexicographically sorted ``(tail, head)`` pairs, derived from ``out_adj``."""
-        return tuple([(u, v) for u, heads in enumerate(self.out_adj) for v in heads])
-
     def __repr__(self) -> str:
         return (
             f"Digraph(n={self.vertex_count}, root={self.root}, "

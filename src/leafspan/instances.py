@@ -16,7 +16,6 @@ import math
 import os
 import random
 import stat
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -47,7 +46,6 @@ class UndirectedGraphInstance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _require_int("vertex_count", self.vertex_count, 0)
         edges = tuple(_normalize_edges(self.vertex_count, self.edges, merge_repeats=True))
         object.__setattr__(self, "edges", edges)
 
@@ -85,31 +83,23 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
         mandatory.add((j, i))
         arcs.append((perm[j], perm[i]))
 
-    if p == 1:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in mandatory:
-                    arcs.append((perm[i], perm[j]))
-    elif p > 0:
-        # sample the sparse forward pairs with geometric gap skipping;
-        # each pair is still included independently with probability p
-        total = n * (n - 1) // 2
-        row_start = [0] * n  # rank of pair (i, i+1) in lexicographic order
-        acc = 0
-        for i in range(n):
-            row_start[i] = acc
-            acc += n - 1 - i
-        log_q = math.log1p(-p)
-        idx = -1
+    if p > 0:
+        # Batagelj & Brandes (2005): walk the forward pairs i < j in order,
+        # skipping geometric gaps so each is taken with probability p
+        log_q = math.log1p(-p) if p < 1 else -math.inf
+        i = j = 0  # the cursor starts just before pair (0, 1)
+        left = n * (n - 1) // 2  # pairs after the cursor
         while True:
-            u = rng.random()
             # compared as a float first: a tiny p can make the skip infinite
-            skip = math.log1p(-u) / log_q
-            if skip >= total - 1 - idx:
+            skip = math.log1p(-rng.random()) / log_q
+            if skip >= left:
                 break
-            idx += int(skip) + 1
-            i = bisect_right(row_start, idx) - 1
-            j = i + 1 + (idx - row_start[i])
+            step = int(skip) + 1
+            left -= step
+            j += step
+            while j >= n:  # carry into row i + 1, whose first pair is (i + 1, i + 2)
+                i += 1
+                j -= n - i - 1
             if (i, j) not in mandatory:
                 arcs.append((perm[i], perm[j]))
 
@@ -245,14 +235,9 @@ def read_instance(path: PathLike) -> Digraph:
         raise ParseError(f"{path}: {e}") from e
 
 
-def write_dot(target: Union[Digraph, Branching], path: PathLike) -> None:
-    """DOT export as ``digraph instance``; a branching's arcs are drawn bold over its host."""
-    if isinstance(target, Branching):
-        host = target.host
-        chosen = set(target.arcs())
-    else:
-        host = target
-        chosen = set()
+def write_dot(t: Branching, path: PathLike) -> None:
+    """DOT export as ``digraph instance``: the host of ``t``, with the arcs of ``t`` bold."""
+    host, parent = t.host, t.parent
     lines = ["digraph instance {"]
     weights = host.vertex_weights
     for v in range(host.vertex_count):
@@ -262,8 +247,9 @@ def write_dot(target: Union[Digraph, Branching], path: PathLike) -> None:
         if weights is not None:
             attrs.append(f'label="{v} w={weights[v]}"')
         lines.append(f"  {v}" + (f" [{', '.join(attrs)}];" if attrs else ";"))
-    for u, v in host.arcs:
-        style = " [style=bold, penwidth=2]" if (u, v) in chosen else ""
-        lines.append(f"  {u} -> {v}{style};")
+    for u, heads in enumerate(host.out_adj):
+        for v in heads:
+            style = " [style=bold, penwidth=2]" if parent[v] == u else ""
+            lines.append(f"  {u} -> {v}{style};")
     lines.append("}")
     _write_in_place(path, ("\n".join(lines) + "\n").encode())

@@ -22,9 +22,13 @@ def _normalize_edges(
 ) -> list[Edge]:
     """Sorted ``(u, v)`` edges with ``u < v``.
 
-    Raises MalformedInput unless ``edges`` yields pairs of distinct int ids
-    in range, and for a repeated edge unless ``merge_repeats`` keeps one copy.
+    Raises MalformedInput unless ``vertex_count`` is an int >= 0 and ``edges``
+    yields pairs of distinct int ids in range, and for a repeated edge unless
+    ``merge_repeats`` keeps one copy.
     """
+    # type() rather than isinstance(), here and for the ids: True/False must not pass as 1/0
+    if type(vertex_count) is not int or vertex_count < 0:
+        raise MalformedInput(f"vertex_count must be an integer >= 0, got {vertex_count!r:.20}")
     if not isinstance(edges, Iterable):
         raise MalformedInput(f"edges must be an iterable of pairs, got {edges!r:.20}")
     out: list[Edge] = []
@@ -34,7 +38,6 @@ def _normalize_edges(
             u, v = edge
         except (TypeError, ValueError):
             u = v = None  # rejected just below
-        # type() rather than isinstance(): True/False must not pass as 1/0
         if not (type(u) is type(v) is int and 0 <= u < vertex_count and 0 <= v < vertex_count):
             raise MalformedInput(f"edge {edge!r:.60} is not a pair of ids in [0, {vertex_count})")
         if u == v:
@@ -158,9 +161,10 @@ def max_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
     Returns:
         Sorted list of matched edges as ``(u, v)`` with ``u < v``.
     """
+    edge_list = _normalize_edges(vertex_count, edges)
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
     # the edges come sorted, so every adjacency list comes out sorted too
-    for u, v in _normalize_edges(vertex_count, edges):
+    for u, v in edge_list:
         adj[u].append(v)
         adj[v].append(u)
     mate = _blossom_match(vertex_count, adj)

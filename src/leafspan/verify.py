@@ -10,7 +10,8 @@ the phase array and the report from the phases with the code the solver
 used (`SolveReport` and the pipeline's record in `certificates.PIPELINES`),
 and compares them with the recorded ones, the phase array entry by entry
 and the report key by key, counts such as ``selected_triples`` included:
-no field of the report is taken on the solver's word.
+no field of the report is taken on the solver's word, and a report key the
+recomputation does not produce is named as a problem too.
 """
 
 from __future__ import annotations
@@ -94,9 +95,12 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
     if phase != expected.phase:
         v = next(v for v in range(n) if phase[v] != expected.phase[v])
         problems.append(f"phase[{v}] is {phase[v]}, recomputation gives {expected.phase[v]}")
-    for key, value in expected.to_dict().items():
+    recomputed = expected.to_dict()
+    for key, value in recomputed.items():
         if not _same(report.get(key), value):
             problems.append(f"report {key} is {report.get(key)!r}, recomputation gives {value!r}")
+    problems += [f"report {key} is not recomputed for {algorithm}"
+                 for key in report if key not in recomputed]
     problems += [f"certificate inequality fails: {name}"
                  for name, holds in expected.inequalities.items() if not holds]
     return problems

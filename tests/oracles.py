@@ -7,7 +7,8 @@ not rely on the ascending order of `PackSet.members`.
 `reference_greedy_expand` and `brute_force_is_maximal` look at every vertex,
 with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
 supply seeded inputs for property tests, and `add_expansion` builds
-branchings by hand.  `leaves_to_independent_set` maps a solved
+branchings by hand.  `digraph_arcs` and `branching_arcs` list the arcs of a
+digraph and of a branching.  `leaves_to_independent_set` maps a solved
 `reduce_independent_set` instance back to the source graph, and
 `graph_fields` compares two digraphs field by field.
 """
@@ -27,6 +28,7 @@ from leafspan import (
     UndirectedGraphInstance,
     gen_random_rooted_dag,
 )
+from leafspan.graph import Arc
 from leafspan.matching import Edge, _normalize_edges
 from leafspan.packing import EXACT_SET_LIMIT
 
@@ -141,6 +143,16 @@ def brute_force_max_independent_set(
 def leaves_to_independent_set(t: Branching) -> set[int]:
     """Source vertices left as leaves by ``t``, an arborescence of a reduction."""
     return {v - 1 for v in t.host.out_adj[0] if t.out_degree[v] == 0}
+
+
+def digraph_arcs(d: Digraph) -> tuple[Arc, ...]:
+    """The ``(tail, head)`` arcs of ``d`` in lexicographic order, read from ``out_adj``."""
+    return tuple((u, v) for u, heads in enumerate(d.out_adj) for v in heads)
+
+
+def branching_arcs(b: Branching) -> list[Arc]:
+    """The ``(parent, child)`` arcs of ``b``, ordered by child."""
+    return [(p, v) for v, p in enumerate(b.parent) if p is not None]
 
 
 def graph_fields(d: Digraph) -> tuple:

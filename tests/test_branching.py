@@ -16,7 +16,13 @@ from leafspan import (
 )
 from leafspan.certificates import PIPELINES
 from leafspan.verify import verify_solution
-from oracles import add_expansion, available_heads, brute_force_is_maximal, random_dag_corpus
+from oracles import (
+    add_expansion,
+    available_heads,
+    branching_arcs,
+    brute_force_is_maximal,
+    random_dag_corpus,
+)
 
 
 def star(k):
@@ -31,7 +37,7 @@ def recount_stats(b):
     """Independent recount by full traversal, no union-find."""
     n = b.host.vertex_count
     adj = [[] for _ in range(n)]
-    for u, v in b.arcs():
+    for u, v in branching_arcs(b):
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
@@ -53,7 +59,7 @@ def recount_stats(b):
     big = [s for s in sizes if s >= 2]
     out_deg = [0] * n
     indeg = [0] * n
-    for u, v in b.arcs():
+    for u, v in branching_arcs(b):
         out_deg[u] += 1
         indeg[v] += 1
     assert all(d <= 1 for d in indeg)
@@ -62,7 +68,7 @@ def recount_stats(b):
         "k": len(big),
         "components": len(sizes),
         "leaves": sum(1 for d in out_deg if d == 0),
-        "arcs": len(b.arcs()),
+        "arcs": len(branching_arcs(b)),
     }
 
 

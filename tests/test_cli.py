@@ -391,6 +391,19 @@ def test_forged_claimed_alpha_fails_verify(tmp_path, capsys):
     assert "claimed_alpha" in err
 
 
+def test_report_keys_not_recomputed_fail_verify(tmp_path, capsys):
+    # bounds of another pipeline added to a maxleaves report once verified;
+    # a key outside "report" stays open for what verify does not certify
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=200, p=0.02, seed=3)
+    obj["telemetry"] = {"solve_s": 0.1}
+    sol.write_text(json.dumps(obj))
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
+    obj["report"].update(ub_lemma5="1", claimed_alpha="1", lb_lemma4="999999")
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert err.splitlines() == [f"verify: report {key} is not recomputed for maxleaves"
+                                for key in ("ub_lemma5", "claimed_alpha", "lb_lemma4")]
+
+
 def test_non_rational_claimed_alpha_fails_verify(tmp_path, capsys):
     inst, sol, obj = solved(tmp_path, "w3dm-greedy", n=30, p=0.2, seed=1)
     obj["report"]["claimed_alpha"] = "abc"

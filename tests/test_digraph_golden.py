@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from leafspan import LeafspanError, build_digraph
-from oracles import random_dag_corpus
+from oracles import digraph_arcs, random_dag_corpus
 
 GOLDEN = Path(__file__).with_name("digraph_golden.json")
 
@@ -50,7 +50,7 @@ ERRORS = {
 def graph_digests() -> dict:
     result = {}
     for i, d in enumerate(random_dag_corpus(80, 1, 150, seed=21)):
-        arcs = list(d.arcs)
+        arcs = list(digraph_arcs(d))
         random.Random(i).shuffle(arcs)
         for kind, shape in INPUTS.items():
             g = build_digraph(d.vertex_count, d.root, shape(arcs))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from leafspan import (
+    Branching,
     CycleDetected,
     MalformedInput,
     NotRooted,
@@ -25,6 +27,7 @@ from leafspan import (
 )
 from oracles import (
     brute_force_max_independent_set,
+    digraph_arcs,
     graph_fields,
     leaves_to_independent_set,
     random_dag_corpus,
@@ -54,26 +57,26 @@ class TestGenerator:
 
     def test_single_vertex(self):
         d = gen_random_rooted_dag(1, 0.5, 0)
-        assert d.vertex_count == 1 and d.arcs == ()
+        assert d.vertex_count == 1 and digraph_arcs(d) == ()
 
     def test_p_zero_gives_tree(self):
         for seed in range(5):
             d = gen_random_rooted_dag(30, 0.0, seed)
-            assert len(d.arcs) == 29
+            assert len(digraph_arcs(d)) == 29
             assert all(len(d.in_adj[v]) == 1 for v in range(30) if v != d.root)
 
     def test_p_one_gives_complete_order(self):
         d = gen_random_rooted_dag(10, 1.0, 4)
-        assert len(d.arcs) == 45
+        assert len(digraph_arcs(d)) == 45
 
     def test_subnormal_p_gives_tree(self):
         # log1p(-p) is subnormal, so the first skip is infinite
         d = gen_random_rooted_dag(10, 1e-320, 0)
-        assert len(d.arcs) == 9
+        assert len(digraph_arcs(d)) == 9
 
     def test_sparse_skipping_matches_density(self):
         # p = 0.3 over C(40, 2) optional slots plus 39 mandatory arcs
-        total = sum(len(gen_random_rooted_dag(40, 0.3, s).arcs) for s in range(40))
+        total = sum(len(digraph_arcs(gen_random_rooted_dag(40, 0.3, s))) for s in range(40))
         expected = 40 * (39 + 0.3 * (780 - 39))
         assert abs(total - expected) / expected < 0.1
 
@@ -84,6 +87,24 @@ class TestGenerator:
             gen_random_rooted_dag(5, -0.1, 1)
         with pytest.raises(MalformedInput):
             gen_random_rooted_dag(5, 1.5, 1)
+
+    def test_pinned_output_digest(self):
+        # recorded before the pair walk was rewritten; every density, from
+        # the tree (p = 0) and an infinite first skip (1e-320) to the
+        # complete order (p = 1), must keep its arcs and their order
+        grid = [
+            (n, p, seed)
+            for n in (1, 2, 3, 17, 200)
+            for p in (0, 1e-320, 0.001, 0.3, 0.999, 1)
+            for seed in (0, 1, 2)
+        ] + [(12000, 1 / 3000, seed) for seed in (1, 7)]
+        h = hashlib.sha256()
+        for n, p, seed in grid:
+            d = gen_random_rooted_dag(n, p, seed)
+            h.update(repr((d.root, d.out_adj)).encode())
+        assert h.hexdigest() == (
+            "b9ef41ea0d96f02effa857ea5f43f50031c7118d99c4b124314e13eb624c5bf3"
+        )
 
     def test_negative_seed_is_valid(self):
         # the command line's --seed accepts negative integers
@@ -104,13 +125,18 @@ class TestGenerator:
     lambda: gen_random_rooted_dag(5, 0.5, True),
     lambda: max_matching(3, None),
     lambda: UndirectedGraphInstance(3, None),
+    lambda: max_matching(3.0, []),
+    lambda: max_matching(None, []),
+    lambda: max_matching(True, []),
+    lambda: max_matching(-1, []),
 ], ids=["dag-float-n", "dag-bool-p", "family-float-k", "family-bool-k",
         "build-float-n", "build-bool-n", "constructor-bool-id", "dag-list-seed",
         "dag-float-seed", "dag-str-seed", "dag-bool-seed", "matching-none-edges",
-        "constructor-none-edges"])
+        "constructor-none-edges", "matching-float-n", "matching-none-n",
+        "matching-bool-n", "matching-negative-n"])
 def test_non_integer_sizes_and_ids_are_malformed(make):
-    # each once built a graph from the bool, seeded from the float or
-    # string, or raised a bare TypeError
+    # each once built a graph from the bool or the negative count, seeded
+    # from the float or string, or raised a bare TypeError
     with pytest.raises(MalformedInput):
         make()
 
@@ -154,13 +180,13 @@ class TestReduction:
         g = UndirectedGraphInstance.build(3, [])
         d = reduce_independent_set(g)
         assert d.vertex_count == 4
-        assert len(d.arcs) == 3
+        assert len(digraph_arcs(d)) == 3
 
     def test_single_edge(self):
         g = UndirectedGraphInstance.build(2, [(0, 1)])
         d = reduce_independent_set(g)
         assert d.vertex_count == 4
-        assert len(d.arcs) == 4
+        assert len(digraph_arcs(d)) == 4
         assert max(len(d.in_adj[v]) for v in range(4)) == 2
 
     def test_build_rejects_float_ids(self):
@@ -183,7 +209,7 @@ class TestReduction:
         g = UndirectedGraphInstance.build(3, [(0, 1), (0, 2), (1, 2)])
         d = reduce_independent_set(g)
         assert d.vertex_count == 7
-        assert len(d.arcs) == 9
+        assert len(digraph_arcs(d)) == 9
         value, t = exact_max_leaves(d, objective="leaf_weight")
         assert value == 1  # triangle independence number
         assert leaves_to_independent_set(t) <= {0, 1, 2}
@@ -356,13 +382,23 @@ class TestSerialization:
             read_instance(p)
 
     def test_dot_output_stable(self, tmp_path):
-        d = build_digraph(3, 0, [(0, 1), (1, 2)])
+        d = build_digraph(3, 0, [(0, 1), (1, 2), (0, 2)])
+        t = Branching.from_parents(d, [None, 0, 1])
         p1, p2 = tmp_path / "a.dot", tmp_path / "b.dot"
-        write_dot(d, p1)
-        write_dot(d, p2)
+        write_dot(t, p1)
+        write_dot(t, p2)
         assert p1.read_bytes() == p2.read_bytes()
-        text = p1.read_text()
-        assert "0 -> 1" in text and "doublecircle" in text
+        # every host arc in lexicographic order, the arborescence's drawn bold
+        assert p1.read_text() == (
+            "digraph instance {\n"
+            "  0 [shape=doublecircle];\n"
+            "  1;\n"
+            "  2;\n"
+            "  0 -> 1 [style=bold, penwidth=2];\n"
+            "  0 -> 2;\n"
+            "  1 -> 2 [style=bold, penwidth=2];\n"
+            "}\n"
+        )
 
     def test_dot_marks_branching_arcs(self, tmp_path):
         d = build_digraph(3, 0, [(0, 1), (0, 2)])
