@@ -50,29 +50,30 @@ class Branching:
     def from_arcs(cls, host: Digraph, arcs: Iterable[Arc]) -> "Branching":
         """Rebuild a branching from an explicit arc list.
 
-        Raises MalformedInput if an arc is not in the host or some vertex
-        would get two parents.
+        Raises MalformedInput if ``arcs`` is not iterable, an arc is not a
+        pair in the host, or some vertex would get two parents.
         """
         b = cls(host)
         n = host.vertex_count
-        for u, v in arcs:
-            # O(in-degree); type() keeps True and 1.0 from passing for 1, and
-            # the range check stops a negative v indexing from the end
-            if not (type(u) is int and type(v) is int and 0 <= v < n and u in host.in_adj[v]):
-                raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
-            if b.parent[v] is not None:
-                raise MalformedInput(f"vertex {v} has two parents")
-            b.parent[v] = u
-            b.out_degree[u] += 1
+        try:
+            for u, v in arcs:
+                # O(in-degree); the range check stops a negative v indexing from the end
+                if not (type(u) is int and type(v) is int and 0 <= v < n and u in host.in_adj[v]):
+                    raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
+                if b.parent[v] is not None:
+                    raise MalformedInput(f"vertex {v} has two parents")
+                b.parent[v] = u
+                b.out_degree[u] += 1
+        except (TypeError, ValueError) as e:  # from iterating or unpacking, not the body
+            raise MalformedInput(f"arcs must be an iterable of pairs: {e}") from None
         return b
 
     @classmethod
     def from_parents(cls, host: Digraph, parents: Sequence[Optional[int]]) -> "Branching":
         """Rebuild a branching from a per-vertex parent array."""
-        if len(parents) != host.vertex_count:
-            raise MalformedInput(
-                f"parent array has length {len(parents)}, expected {host.vertex_count}"
-            )
+        if not isinstance(parents, Sequence) or len(parents) != host.vertex_count:
+            raise MalformedInput(f"parent array must be a sequence of length "
+                                 f"{host.vertex_count}, got {parents!r:.20}")
         return cls.from_arcs(host, [(p, v) for v, p in enumerate(parents) if p is not None])
 
     def copy(self) -> "Branching":

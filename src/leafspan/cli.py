@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import gc
+import io
 import sys
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .certificates import PIPELINES, Pipeline
 from .errors import MalformedInput, ParseError, TooLarge
 from .graph import Digraph
 from .instances import (
+    _write_in_place,
     gen_adversarial_family,
     gen_random_rooted_dag,
     read_instance,
@@ -131,10 +133,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if opt is not None:
                 row["opt"] = str(opt)
                 row["ratio"] = str(Fraction(opt, report.leaf_count))
-    with open(args.csv, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_HEADER, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    handle = io.StringIO(newline="")
+    writer = csv.DictWriter(handle, fieldnames=CSV_HEADER, restval="")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_in_place(args.csv, handle.getvalue().encode())
     return 0
 
 

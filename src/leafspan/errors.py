@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `require_int`.
+
+Every package error is a `LeafspanError`.  A value from outside is checked
+once, where it enters: `Digraph` checks an instance, `Branching` a parent
+array, and `require_int` a count such as ``n``.
+"""
 
 
 class LeafspanError(Exception):
@@ -7,6 +12,12 @@ class LeafspanError(Exception):
 
 class MalformedInput(LeafspanError):
     """Vertex ids out of range, duplicate arcs, self-loops, or bad shapes."""
+
+
+def require_int(name: str, value: object, least: int) -> None:
+    """MalformedInput unless ``value`` is an int >= ``least``; by type(), so bools fail."""
+    if type(value) is not int or value < least:
+        raise MalformedInput(f"{name} must be an integer >= {least}, got {value!r:.20}")
 
 
 class CycleDetected(LeafspanError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from .errors import CycleDetected, MalformedInput, NotRooted
+from .errors import CycleDetected, MalformedInput, NotRooted, require_int
 
 Arc = tuple[int, int]
 
@@ -45,27 +45,22 @@ class Digraph:
         arcs: Iterable[Arc],
         weights: Optional[Sequence[int]] = None,
     ):
-        # type() rather than isinstance(): JSON true/false must not pass as 1/0,
-        # and a float would reach the file writer, whose output the reader refuses
-        if type(vertex_count) is not int or type(root) is not int:
-            raise MalformedInput(f"vertex_count {vertex_count!r:.20} and root {root!r:.20} "
-                                 "must be integers")
-        if vertex_count < 1:
-            raise MalformedInput(f"vertex_count must be >= 1, got {vertex_count}")
-        if not 0 <= root < vertex_count:
-            raise MalformedInput(f"root {root} out of range [0, {vertex_count})")
-
-        arcs = arcs if isinstance(arcs, list) else list(arcs)
+        require_int("vertex_count", vertex_count, 1)
+        if type(root) is not int or not 0 <= root < vertex_count:
+            raise MalformedInput(f"root {root!r:.20} out of range [0, {vertex_count})")
+        try:
+            arcs = arcs if isinstance(arcs, list) else list(arcs)
+            weights = None if weights is None else list(weights)
+        except TypeError:
+            raise MalformedInput(f"arcs {arcs!r:.20} and weights {weights!r:.20} "
+                                 "must be iterable") from None
         # before any list of length n exists, so a declared n cannot size memory
         if len(arcs) < vertex_count - 1:
             raise NotRooted(f"{len(arcs)} arcs cannot span {vertex_count} vertices")
 
         if weights is not None:
-            weights = list(weights)
             if len(weights) != vertex_count:
-                raise MalformedInput(
-                    f"weights has length {len(weights)}, expected {vertex_count}"
-                )
+                raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
             if any(type(w) is not int or w < 0 for w in weights):
                 raise MalformedInput("weights must be nonnegative integers")
 
@@ -77,7 +72,6 @@ class Digraph:
                 u, v = arc
             except (TypeError, ValueError):
                 u = v = None  # rejected just below
-            # type() rather than isinstance(): JSON true/false must not pass as 1/0
             if (type(u) is not int or type(v) is not int
                     or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
                 raise MalformedInput(f"arc {arc!r:.60} {bad}")
@@ -150,9 +144,9 @@ def build_digraph(
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
-            integer, an arc that is not a pair of integers, ids out of
-            range, self-loops, duplicate arcs, or a weights list of the wrong
-            shape.
+            integer, ``arcs`` or ``weights`` that is not iterable, an arc
+            that is not a pair of integers, ids out of range, self-loops,
+            duplicate arcs, or a weights list of the wrong shape.
         CycleDetected: the arc set contains a directed cycle.
         NotRooted: some vertex is unreachable from ``root``, or there are
             fewer than ``vertex_count - 1`` arcs.

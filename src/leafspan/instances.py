@@ -21,17 +21,11 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from .branching import Branching
-from .errors import LeafspanError, MalformedInput, ParseError
+from .errors import LeafspanError, MalformedInput, ParseError, require_int
 from .graph import Arc, Digraph, build_digraph
 from .matching import _normalize_edges
 
 PathLike = Union[str, Path]
-
-
-def _require_int(name: str, value: object, least: int) -> None:
-    # type() rather than isinstance(): True/False must not pass as 1/0
-    if type(value) is not int or value < least:
-        raise MalformedInput(f"{name} must be an integer >= {least}, got {value!r:.20}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +59,7 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     random earlier vertex, which guarantees rootedness; every other forward
     pair becomes an arc independently with ``extra_arc_probability``.
     """
-    _require_int("n", n, 1)
+    require_int("n", n, 1)
     if type(seed) is not int:
         raise MalformedInput(f"seed must be an integer, got {seed!r:.20}")
     p = extra_arc_probability
@@ -126,7 +120,7 @@ def gen_adversarial_family(k: int) -> Digraph:
 
     The ratio approaches 4/3 as k grows.
     """
-    _require_int("k", k, 1)
+    require_int("k", k, 1)
     m = k + 2
     root = 0
     decoys = list(range(1, m + 1))
@@ -221,15 +215,8 @@ def read_instance(path: PathLike) -> Digraph:
     obj = read_json_object(path)
     if not _same(obj.get("version"), 1):
         raise ParseError(f"{path}: field 'version' must be 1")
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0
-    for field_name, kind in (("n", int), ("root", int), ("arcs", list)):
-        if type(obj.get(field_name)) is not kind:
-            raise ParseError(f"{path}: field '{field_name}' missing or wrong type")
-    weights = obj.get("weights")
-    if weights is not None and not isinstance(weights, list):
-        raise ParseError(f"{path}: field 'weights' must be a list of integers")
     try:
-        return build_digraph(obj["n"], obj["root"], obj["arcs"], weights)
+        return build_digraph(obj.get("n"), obj.get("root"), obj.get("arcs"), obj.get("weights"))
     except LeafspanError as e:
         # the original CycleDetected / NotRooted / MalformedInput stays as cause
         raise ParseError(f"{path}: {e}") from e

@@ -12,7 +12,7 @@ from collections import deque
 from collections.abc import Iterable
 from itertools import count
 
-from .errors import MalformedInput
+from .errors import MalformedInput, require_int
 
 Edge = tuple[int, int]
 
@@ -26,9 +26,7 @@ def _normalize_edges(
     yields pairs of distinct int ids in range, and for a repeated edge unless
     ``merge_repeats`` keeps one copy.
     """
-    # type() rather than isinstance(), here and for the ids: True/False must not pass as 1/0
-    if type(vertex_count) is not int or vertex_count < 0:
-        raise MalformedInput(f"vertex_count must be an integer >= 0, got {vertex_count!r:.20}")
+    require_int("vertex_count", vertex_count, 0)
     if not isinstance(edges, Iterable):
         raise MalformedInput(f"edges must be an iterable of pairs, got {edges!r:.20}")
     out: list[Edge] = []

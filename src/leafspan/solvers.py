@@ -26,7 +26,7 @@ from typing import Optional
 
 from .branching import Branching
 from .certificates import PIPELINES, SolveReport
-from .errors import PreconditionViolated, TooLarge
+from .errors import MalformedInput, PreconditionViolated, TooLarge
 from .graph import Digraph, topological_order
 from .matching import max_matching
 from .packing import EXACT_PACKER, Packer, PackSet
@@ -43,8 +43,8 @@ def greedy_expand(d: Digraph, t: int) -> Branching:
     A vertex is expanded only while it has out-degree 0, so no internal
     vertex is left with an in-degree-0 out-neighbor.
     """
-    if t < 1:
-        raise PreconditionViolated(f"t must be positive, got {t}")
+    if type(t) is not int or t < 1:
+        raise PreconditionViolated(f"t must be a positive integer, got {t!r:.20}")
     work = Branching(d)
     for v, heads in work.free_heads(t):
         if len(heads) >= t:
@@ -186,7 +186,7 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     is admissible, so pruning never changes the returned value.
     """
     if objective not in ("leaves", "leaf_weight"):
-        raise ValueError(f"unknown objective {objective!r}")
+        raise MalformedInput(f"unknown objective {objective!r:.20}")
     _exact_guard(d)
 
     n = d.vertex_count

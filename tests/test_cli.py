@@ -139,6 +139,8 @@ def test_writing_to_a_device_exits_0(tmp_path):
     assert run("gen", "--generator", "random", "--out", os.devnull) == 0
     assert run("solve", "--algo", "maxleaves", "--input", str(inst),
                "--output", os.devnull, "--dot", os.devnull) == 0
+    assert run("bench", "--input-dir", str(tmp_path), "--algos", "maxleaves",
+               "--csv", os.devnull) == 0
 
 
 def test_writers_never_empty_a_file_before_rewriting_it(tmp_path, monkeypatch):
@@ -152,11 +154,15 @@ def test_writers_never_empty_a_file_before_rewriting_it(tmp_path, monkeypatch):
         return os_open(path, flags, *args, **kwargs)
 
     monkeypatch.setattr(os, "open", spy)
+    indir, csv_path = tmp_path / "instances", tmp_path / "bench.csv"
+    indir.mkdir()
     for _ in range(2):  # the second round rewrites every file
-        inst = gen_random(tmp_path)
+        inst = gen_random(indir)
         sol, dot = solve_into(tmp_path, inst, "")
+        assert run("bench", "--input-dir", str(indir), "--algos", "maxleaves",
+                   "--csv", str(csv_path)) == 0
     paths = [path for path, _ in opened]
-    assert [paths.count(str(p)) for p in (inst, sol, dot)] == [2, 2, 2]
+    assert [paths.count(str(p)) for p in (inst, sol, dot, csv_path)] == [2, 2, 2, 2]
     assert not [path for path, flags in opened if flags & os.O_TRUNC]
 
 

@@ -129,14 +129,23 @@ class TestGenerator:
     lambda: max_matching(None, []),
     lambda: max_matching(True, []),
     lambda: max_matching(-1, []),
+    lambda: build_digraph(3, 0, None),
+    lambda: build_digraph(3, 0, 5),
+    lambda: build_digraph(3, 0, [(0, 1), (0, 2)], 5),
+    lambda: Branching.from_arcs(build_digraph(2, 0, [(0, 1)]), [5]),
+    lambda: Branching.from_arcs(build_digraph(2, 0, [(0, 1)]), None),
+    lambda: Branching.from_parents(build_digraph(2, 0, [(0, 1)]), None),
+    lambda: exact_max_leaves(build_digraph(2, 0, [(0, 1)]), "x"),
 ], ids=["dag-float-n", "dag-bool-p", "family-float-k", "family-bool-k",
         "build-float-n", "build-bool-n", "constructor-bool-id", "dag-list-seed",
         "dag-float-seed", "dag-str-seed", "dag-bool-seed", "matching-none-edges",
         "constructor-none-edges", "matching-float-n", "matching-none-n",
-        "matching-bool-n", "matching-negative-n"])
+        "matching-bool-n", "matching-negative-n", "digraph-none-arcs",
+        "digraph-int-arcs", "digraph-int-weights", "from-arcs-int-arc",
+        "from-arcs-none", "from-parents-none", "oracle-unknown-objective"])
 def test_non_integer_sizes_and_ids_are_malformed(make):
     # each once built a graph from the bool or the negative count, seeded
-    # from the float or string, or raised a bare TypeError
+    # from the float or string, or raised a bare TypeError or ValueError
     with pytest.raises(MalformedInput):
         make()
 

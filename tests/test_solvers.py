@@ -67,9 +67,11 @@ class TestGreedyExpand:
         f = greedy_expand(d, 3)
         assert branching_arcs(f) == []
 
-    def test_nonpositive_t_rejected(self):
+    @pytest.mark.parametrize("t", [0, 1.5, True, "3"], ids=["zero", "float", "bool", "string"])
+    def test_nonpositive_t_rejected(self, t):
+        # a float or a bool once ran as a number, and a string raised TypeError
         with pytest.raises(PreconditionViolated):
-            greedy_expand(star(3), 0)
+            greedy_expand(star(3), t)
 
     def test_output_is_maximal_t_branching_on_random_dags(self):
         for i, d in enumerate(random_dag_corpus(100, 1, 25, seed=21)):
