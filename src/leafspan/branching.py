@@ -12,8 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import IllegalExpansion, MalformedInput, NotTBranching
+from .errors import IllegalExpansion, MalformedInput, NotTBranching, PreconditionViolated
 from .graph import Arc, Digraph
+
+
+def _check_t(t: object) -> None:
+    if type(t) is not int or t < 1:  # by type(), so a bool fails
+        raise PreconditionViolated(f"t must be a positive integer, got {t!r:.20}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class Branching:
         ``v`` that still have in-degree 0, ascending.  Each vertex is read
         when it is reached, so the caller may expand ``v`` before the next.
         """
+        _check_t(t)
         parent, out_degree, out_adj = self.parent, self.out_degree, self.host.out_adj
         for v in self.host.order:
             arcs = out_adj[v]
@@ -162,6 +168,7 @@ class Branching:
 
     def is_t_branching(self, t: int) -> bool:
         """True iff every internal vertex has out-degree at least ``t``."""
+        _check_t(t)
         return min(filter(None, self.out_degree), default=t) >= t
 
     def is_maximal(self, t: int) -> bool:

@@ -86,7 +86,7 @@ def packing_upper_bound(
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One certified algorithm.
+    """One certified algorithm, as a plain record read by `SolveReport.from_phases`.
 
     ``phases`` lists ``(phase name, t)``: phase ``i`` is a t-branching that
     contains phase ``i - 1``, and the last is the spanning arborescence
@@ -107,34 +107,6 @@ class Pipeline:
     rule: Callable[..., tuple[tuple[Fraction, ...], dict[str, bool]]]
     solve: Callable[[Any, Any], tuple[Branching, "SolveReport"]]
 
-    def certify(
-        self, stats: Sequence[BranchingStats]
-    ) -> tuple[dict[str, int], dict[str, Fraction], dict[str, bool]]:
-        """Counts, named bounds and named inequalities from per-phase statistics.
-
-        Each expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
-        ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
-        less t * count sum (children - t) over expanded leaves plus the arcs
-        under already-internal vertices: "t * count == arcs added" holds
-        exactly when phase ``i + 1`` adds only t-expansions of leaves.
-        """
-        counts, identities = {}, {}
-        for i, name in enumerate(self.counts):
-            a, b, t = stats[i], stats[i + 1], self.phases[i + 1][1]
-            counts[name] = a.leaves - b.leaves
-            identity = f"{t} * {name} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
-            identities[identity] = t * counts[name] == (b.N - b.k) - (a.N - a.k)
-        leaves = stats[-1].leaves
-        values, checks = self.rule(stats, self.alpha)
-        bounds = dict(zip(self.bounds, values))
-        inequalities = {}
-        for b, v in bounds.items():
-            if b.startswith("lb_"):
-                inequalities[f"leaf_count >= {b}"] = leaves >= v
-            else:
-                inequalities[f"{b} >= leaf_count"] = v >= leaves
-        return counts, bounds, {**inequalities, **identities, **checks}
-
 
 @dataclass
 class SolveReport:
@@ -154,18 +126,40 @@ class SolveReport:
 
     @classmethod
     def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching]) -> "SolveReport":
-        """Report on the branchings of each phase, the arborescence last."""
+        """Report on the branchings of each phase, the arborescence last.
+
+        Each expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
+        ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
+        less t * count sum (children - t) over expanded leaves plus the arcs
+        under already-internal vertices: "t * count == arcs added" holds
+        exactly when phase ``i + 1`` adds only t-expansions of leaves.
+        """
         stats = [b.stats() for b in phases]
-        t = phases[-1]
-        phase = [0] * t.host.vertex_count
+        tree = phases[-1]
+        phase = [0] * tree.host.vertex_count
         for i in reversed(range(len(phases))):
             phase = [i if p is not None else q for p, q in zip(phases[i].parent, phase)]
+        counts, identities = {}, {}
+        for i, name in enumerate(pipeline.counts):
+            a, b, t = stats[i], stats[i + 1], pipeline.phases[i + 1][1]
+            counts[name] = a.leaves - b.leaves
+            identity = f"{t} * {name} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
+            identities[identity] = t * counts[name] == (b.N - b.k) - (a.N - a.k)
+        leaves = stats[-1].leaves
+        values, checks = pipeline.rule(stats, pipeline.alpha)
+        bounds = dict(zip(pipeline.bounds, values))
+        inequalities = {}
+        for b, v in bounds.items():
+            if b.startswith("lb_"):
+                inequalities[f"leaf_count >= {b}"] = leaves >= v
+            else:
+                inequalities[f"{b} >= leaf_count"] = v >= leaves
         return cls(
             pipeline,
             {name: s for (name, _), s in zip(pipeline.phases, stats)},
             phase,
-            *pipeline.certify(stats),
-            t.leaf_weight() if t.host.vertex_weights is not None else None,
+            counts, bounds, {**inequalities, **identities, **checks},
+            tree.leaf_weight() if tree.host.vertex_weights is not None else None,
         )
 
     @property

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .branching import Branching
-from .certificates import PIPELINES, SolveReport
+from .certificates import PIPELINES, Pipeline, SolveReport
 from .errors import MalformedInput, PreconditionViolated, TooLarge
 from .graph import Digraph, topological_order
 from .matching import max_matching
@@ -43,8 +43,6 @@ def greedy_expand(d: Digraph, t: int) -> Branching:
     A vertex is expanded only while it has out-degree 0, so no internal
     vertex is left with an in-degree-0 out-neighbor.
     """
-    if type(t) is not int or t < 1:
-        raise PreconditionViolated(f"t must be a positive integer, got {t!r:.20}")
     work = Branching(d)
     for v, heads in work.free_heads(t):
         if len(heads) >= t:
@@ -105,21 +103,22 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
     return work, len(matched)
 
 
+def _finish(pipeline: Pipeline, phases: list[Branching]) -> tuple[Branching, SolveReport]:
+    t = attach(phases[-1])
+    assert t.is_spanning_arborescence()
+    return t, SolveReport.from_phases(pipeline, [*phases, t])
+
+
 def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
     """The certified 3/2-ratio pipeline: 3-expansions, matching, attachment."""
     f1 = greedy_expand(d, 3)
     f2, _ = max_expand(f1)
-    t = attach(f2)
-    assert t.is_spanning_arborescence()
-    return t, SolveReport.from_phases(PIPELINES["maxleaves"], [f1, f2, t])
+    return _finish(PIPELINES["maxleaves"], [f1, f2])
 
 
 def expansion_baseline(d: Digraph) -> tuple[Branching, SolveReport]:
     """Plain greedy 2-expansion baseline (ratio 2) with its own certificate."""
-    f = greedy_expand(d, 2)
-    t = attach(f)
-    assert t.is_spanning_arborescence()
-    return t, SolveReport.from_phases(PIPELINES["expansion2"], [f, t])
+    return _finish(PIPELINES["expansion2"], [greedy_expand(d, 2)])
 
 
 def max_leaves_packing(
@@ -152,13 +151,11 @@ def max_leaves_packing(
         for s in selection:
             if len(s.members) == size:
                 phases[-1]._expand(s.candidate, s.members)
-    t = attach(phases[-1])
-    assert t.is_spanning_arborescence()
 
     pipeline = replace(
         PIPELINES["w3dm-exact"], name=f"w3dm-{packer.name}", alpha=packer.claimed_alpha
     )
-    return t, SolveReport.from_phases(pipeline, [*phases, t])
+    return _finish(pipeline, phases)
 
 
 def _exact_guard(d: Digraph) -> None:

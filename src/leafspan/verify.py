@@ -53,6 +53,8 @@ def read_solution(path: PathLike) -> dict:
 
 def verify_solution(d: Digraph, solution: dict) -> list[str]:
     """Return a list of diagnostics; an empty list means the solution verifies."""
+    if not isinstance(solution, dict):
+        return [f"solution must be an object, got {type(solution).__name__}"]
     problems: list[str] = []
     n = d.vertex_count
 
@@ -82,11 +84,10 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         problems.append(f"phase must be {n} indices in [0, {count})")
         return problems
 
-    phases = []
-    for i, (name, t_min) in enumerate(pipeline.phases):
-        phases.append(t.restricted([p <= i for p in phase]))
-        if not phases[-1].is_t_branching(t_min):
-            problems.append(f"phase {name} is not a {t_min}-branching")
+    phases = [t.restricted([p <= i for p in phase]) for i in range(count - 1)] + [t]
+    problems += [f"phase {name} is not a {t_min}-branching"
+                 for (name, t_min), b in zip(pipeline.phases, phases)
+                 if not b.is_t_branching(t_min)]
 
     expected = SolveReport.from_phases(pipeline, phases)
     if phase != expected.phase:

@@ -9,6 +9,7 @@ from leafspan import (
     IllegalExpansion,
     MalformedInput,
     NotTBranching,
+    PreconditionViolated,
     TooLarge,
     build_digraph,
     greedy_expand,
@@ -162,6 +163,18 @@ def test_is_maximal_requires_t_branching():
     b = add_expansion(Branching(d), 0, [1, 2, 3])
     with pytest.raises(NotTBranching):
         b.is_maximal(4)
+
+
+@pytest.mark.parametrize("t", ["3", 1.5, True, 0], ids=["string", "float", "bool", "zero"])
+@pytest.mark.parametrize("scan", ["free_heads", "is_t_branching", "is_maximal"])
+def test_scans_reject_a_t_that_is_not_a_positive_integer(scan, t):
+    # is_t_branching("3") once returned True, is_maximal("3") raised TypeError
+    # and free_heads(1.5) ran as if t were a number
+    b = Branching(star(3))
+    with pytest.raises(PreconditionViolated, match="t must be a positive integer"):
+        result = getattr(b, scan)(t)
+        if scan == "free_heads":
+            list(result)  # a generator checks t on its first step
 
 
 def test_scan_matches_brute_force_on_random_branchings():

@@ -519,6 +519,14 @@ def test_library_verify_rejects_non_integer_parents(tail):
         f"parent array invalid: arc ({tail}, 2) not in host digraph"]
 
 
+@pytest.mark.parametrize("solution", [None, [], "x"], ids=["none", "list", "string"])
+def test_library_verify_rejects_a_solution_that_is_not_a_dict(solution):
+    # once a bare AttributeError from solution.get
+    d = build_digraph(2, 0, [(0, 1)])
+    assert verify_solution(d, solution) == [
+        f"solution must be an object, got {type(solution).__name__}"]
+
+
 @pytest.fixture
 def collector():
     """Sets the cyclic collector on or off for a test and restores it after."""

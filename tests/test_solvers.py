@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import leafspan.cli
 from leafspan import (
     Branching,
     GREEDY_PACKER,
@@ -23,7 +24,8 @@ from leafspan import (
     pack_exact,
     pack_greedy,
 )
-from leafspan.certificates import two_phase_bounds
+from leafspan.certificates import PIPELINES, SolveReport, two_phase_bounds
+from leafspan.verify import verify_solution
 from oracles import (
     add_expansion,
     available_heads,
@@ -347,3 +349,33 @@ class TestAttach:
         t = attach(f)
         assert t.is_spanning_arborescence()
         assert t.parent[3] == 0
+
+
+def test_solve_and_verify_each_build_their_report_once(monkeypatch):
+    # one path from phases to a certified report: every pipeline and verify
+    # call SolveReport.from_phases once, each with its own arborescence as
+    # the last phase (verify's is the tree it validated, not a copy)
+    calls, trees = [], []
+    from_phases, from_parents = SolveReport.from_phases, Branching.from_parents
+
+    def spy_from_phases(pipeline, phases):
+        calls.append(phases)
+        return from_phases(pipeline, phases)
+
+    def spy_from_parents(host, parents):
+        trees.append(from_parents(host, parents))
+        return trees[-1]
+
+    monkeypatch.setattr(SolveReport, "from_phases", staticmethod(spy_from_phases))
+    monkeypatch.setattr(Branching, "from_parents", staticmethod(spy_from_parents))
+    for d in random_dag_corpus(40, 1, 12, seed=59):
+        for pipeline in PIPELINES.values():
+            calls.clear()
+            t, report = pipeline.solve(leafspan.cli, d)
+            assert len(calls) == 1 and calls[0][-1] is t
+            calls.clear()
+            solution = {"parent": t.parent, "phase": report.phase,
+                        "leaf_count": report.leaf_count, "report": report.to_dict()}
+            assert verify_solution(d, solution) == []
+            assert len(calls) == 1 and calls[0][-1] is trees[-1]
+            assert len(calls[0]) == len(pipeline.phases)
