@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
-from .branching import Branching, BranchingStats
+from .branching import Branching
 from .packing import EXACT_PACKER, GREEDY_PACKER
 
 
@@ -94,7 +94,8 @@ class Pipeline:
     the pipeline packs nothing).  ``counts[i]`` names the expansions from
     phase ``i`` to ``i + 1``.  ``rule`` maps the phase statistics and alpha
     to the values of the ``bounds`` named here and any inequalities beyond
-    "leaf_count >= lb", "ub >= leaf_count" and the counts' identities.
+    the phase shapes, "leaf_count >= lb", "ub >= leaf_count" and the counts'
+    identities, which `SolveReport.from_phases` checks for every pipeline.
     ``solve(api, d)`` runs the pipeline with the solver functions found on
     ``api`` and returns the arborescence and its `SolveReport`.
     """
@@ -110,25 +111,28 @@ class Pipeline:
 
 @dataclass
 class SolveReport:
-    """Phase-by-phase statistics plus the certificate of one run.
+    """The certificate of one run, kept as the flat report a solution file stores.
 
     ``phase[v]`` is the index (into ``pipeline.phases``) of the first phase
-    that gave ``v`` its parent; the root's entry is 0.
+    that gave ``v`` its parent; the root's entry is 0.  ``values`` holds, in
+    file order, ``N{i}``/``k{i}`` of each phase but T, the counts, the bounds
+    (as `Fraction`), then ``claimed_alpha`` and ``leaf_weight`` if they apply.
+    ``inequalities`` names every check the certificate makes.
     """
 
     pipeline: Pipeline
-    phase_stats: dict[str, BranchingStats]
     phase: list[int]
-    counts: dict[str, int]
-    bounds: dict[str, Fraction]
+    leaf_count: int
+    values: dict[str, Any]
     inequalities: dict[str, bool]
-    leaf_weight: Optional[int] = None
 
     @classmethod
     def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching]) -> "SolveReport":
         """Report on the branchings of each phase, the arborescence last.
 
-        Each expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
+        The bounds hold only when each phase is a t-branching for its t and
+        the last spans the host, so those are inequalities too.  Each
+        expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
         ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
         less t * count sum (children - t) over expanded leaves plus the arcs
         under already-internal vertices: "t * count == arcs added" holds
@@ -139,36 +143,31 @@ class SolveReport:
         phase = [0] * tree.host.vertex_count
         for i in reversed(range(len(phases))):
             phase = [i if p is not None else q for p, q in zip(phases[i].parent, phase)]
-        counts, identities = {}, {}
+        values: dict[str, Any] = {}
+        for i, s in enumerate(stats[:-1], start=1):
+            values[f"N{i}"], values[f"k{i}"] = s.N, s.k
+        inequalities = {f"{name} is a {t}-branching": b.is_t_branching(t)
+                        for (name, t), b in zip(pipeline.phases, phases)}
+        inequalities["T is a spanning arborescence"] = tree.is_spanning_arborescence()
+        identities = {}
         for i, name in enumerate(pipeline.counts):
             a, b, t = stats[i], stats[i + 1], pipeline.phases[i + 1][1]
-            counts[name] = a.leaves - b.leaves
+            values[name] = a.leaves - b.leaves
             identity = f"{t} * {name} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
-            identities[identity] = t * counts[name] == (b.N - b.k) - (a.N - a.k)
+            identities[identity] = t * values[name] == (b.N - b.k) - (a.N - a.k)
         leaves = stats[-1].leaves
-        values, checks = pipeline.rule(stats, pipeline.alpha)
-        bounds = dict(zip(pipeline.bounds, values))
-        inequalities = {}
-        for b, v in bounds.items():
+        bounds, checks = pipeline.rule(stats, pipeline.alpha)
+        for b, v in zip(pipeline.bounds, bounds):
+            values[b] = v
             if b.startswith("lb_"):
                 inequalities[f"leaf_count >= {b}"] = leaves >= v
             else:
                 inequalities[f"{b} >= leaf_count"] = v >= leaves
-        return cls(
-            pipeline,
-            {name: s for (name, _), s in zip(pipeline.phases, stats)},
-            phase,
-            counts, bounds, {**inequalities, **identities, **checks},
-            tree.leaf_weight() if tree.host.vertex_weights is not None else None,
-        )
-
-    @property
-    def algorithm(self) -> str:
-        return self.pipeline.name
-
-    @property
-    def leaf_count(self) -> int:
-        return self.phase_stats["T"].leaves
+        if pipeline.alpha is not None:
+            values["claimed_alpha"] = pipeline.alpha
+        if tree.host.vertex_weights is not None:
+            values["leaf_weight"] = tree.leaf_weight()
+        return cls(pipeline, phase, leaves, values, {**inequalities, **identities, **checks})
 
     @property
     def certificate_ok(self) -> bool:
@@ -176,21 +175,12 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         """Flat JSON-ready view; rationals serialize as "p/q" strings."""
-        out: dict = {
-            "algorithm": self.algorithm,
+        return {
+            "algorithm": self.pipeline.name,
             "leaf_count": self.leaf_count,
             "certificate_ok": self.certificate_ok,
+            **{k: str(v) if isinstance(v, Fraction) else v for k, v in self.values.items()},
         }
-        for i, s in enumerate(list(self.phase_stats.values())[:-1], start=1):
-            out[f"N{i}"] = s.N
-            out[f"k{i}"] = s.k
-        out.update(self.counts)
-        out.update((name, str(value)) for name, value in self.bounds.items())
-        if self.pipeline.alpha is not None:
-            out["claimed_alpha"] = str(self.pipeline.alpha)
-        if self.leaf_weight is not None:
-            out["leaf_weight"] = self.leaf_weight
-        return out
 
 
 def _two_phase(s, alpha):

@@ -129,7 +129,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             millis = (time.perf_counter() - start) * 1000.0
             row.update(leaves=report.leaf_count, certificate_ok=report.certificate_ok,
                        millis=f"{millis:.3f}")
-            row.update((name, str(value)) for name, value in report.bounds.items())
+            row.update((name, str(report.values[name])) for name in report.pipeline.bounds)
             if opt is not None:
                 row["opt"] = str(opt)
                 row["ratio"] = str(Fraction(opt, report.leaf_count))

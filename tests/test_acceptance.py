@@ -79,7 +79,7 @@ def test_criterion_3_worked_bound_numbers():
 
 def test_criterion_4_upper_bounds_dominate_optimum():
     ok = all(
-        opt <= rep.bounds["ub_lemma2"] and opt <= rep.bounds["ub_lemma3"]
+        opt <= rep.values["ub_lemma2"] and opt <= rep.values["ub_lemma3"]
         for _, rep, opt in solved_corpus()
     )
     report(4, ok, "exact optimum never exceeds either upper bound")

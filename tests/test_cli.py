@@ -196,7 +196,7 @@ def test_usage_error_exits_2(tmp_path):
     assert info.value.code == 2
 
 
-def test_parse_error_exits_3(tmp_path):
+def test_parse_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
     sol = tmp_path / "sol.json"
@@ -205,6 +205,12 @@ def test_parse_error_exits_3(tmp_path):
     assert run("solve", "--algo", "maxleaves",
                "--input", str(tmp_path / "missing.json"),
                "--output", str(sol)) == 3
+    bad.write_text('{"version":1,"n":2,"root":0,"arcs":[[0,1]],"weights":[0,-1]}')
+    capsys.readouterr()
+    assert run("solve", "--algo", "maxleaves",
+               "--input", str(bad), "--output", str(sol)) == 3
+    err = capsys.readouterr().err
+    assert "weights must be nonnegative integers" in err and "Traceback" not in err
 
 
 def test_exact_guard_exits_2(tmp_path):
@@ -348,6 +354,49 @@ def test_forged_matching_size_fails_verify(tmp_path, capsys, value):
         rep["matching_size"] = value
     err = verify_diagnostics(capsys, inst, sol, obj)
     assert err == f"verify: report matching_size is {value!r}, recomputation gives 1\n"
+
+
+def recertified(inst, obj, algo):
+    """``obj`` as a forger would rewrite it: the phase array and the report
+    recomputed from its arrays, with certificate_ok forged true."""
+    pipeline = PIPELINES[algo]
+    t = Branching.from_parents(read_instance(inst), obj["parent"])
+    phases = [t.restricted([p <= i for p in obj["phase"]])
+              for i in range(len(pipeline.phases) - 1)] + [t]
+    report = SolveReport.from_phases(pipeline, phases)
+    return {**obj, "phase": report.phase, "leaf_count": report.leaf_count,
+            "report": {**report.to_dict(), "certificate_ok": True}}
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["as_solved", "recertified"])
+def test_forest_fails_verify(tmp_path, capsys, recompute):
+    # one vertex cut loose: the parent array is a forest, which the bounds
+    # do not cover, and a report recomputed from it hides everything else
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=40, p=0.1, seed=0)
+    victim = next(v for v, p in enumerate(obj["parent"]) if p is not None)
+    obj["parent"][victim] = None
+    if recompute:
+        obj = recertified(inst, obj, "maxleaves")
+    err = verify_diagnostics(capsys, inst, sol, obj)
+    assert "verify: certificate inequality fails: T is a spanning arborescence\n" in err
+    if recompute:
+        assert err.splitlines() == [
+            "verify: report certificate_ok is True, recomputation gives False",
+            "verify: certificate inequality fails: T is a spanning arborescence"]
+
+
+@pytest.mark.parametrize("recompute", [False, True], ids=["as_solved", "recertified"])
+def test_phases_that_are_not_t_branchings_fail_verify(tmp_path, capsys, recompute):
+    # every arc in phase F1: F1 and F2 are the whole tree, whose vertices of
+    # out-degree 1 make neither a 3- nor a 2-branching
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=40, p=0.1, seed=0)
+    obj["phase"] = [0] * len(obj["phase"])
+    if recompute:
+        obj = recertified(inst, obj, "maxleaves")
+    failures = [line for line in verify_diagnostics(capsys, inst, sol, obj).splitlines()
+                if line.startswith("verify: certificate inequality fails:")]
+    assert failures[:2] == ["verify: certificate inequality fails: F1 is a 3-branching",
+                            "verify: certificate inequality fails: F2 is a 2-branching"]
 
 
 @pytest.mark.parametrize("algo, vertex, children, identity", [

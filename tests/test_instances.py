@@ -136,13 +136,16 @@ class TestGenerator:
     lambda: Branching.from_arcs(build_digraph(2, 0, [(0, 1)]), None),
     lambda: Branching.from_parents(build_digraph(2, 0, [(0, 1)]), None),
     lambda: exact_max_leaves(build_digraph(2, 0, [(0, 1)]), "x"),
+    lambda: build_digraph(2, 0, [(0, 1)], [0, -1]),
+    lambda: Branching(build_digraph(2, 0, [(0, 1)])).leaf_weight(),
 ], ids=["dag-float-n", "dag-bool-p", "family-float-k", "family-bool-k",
         "build-float-n", "build-bool-n", "constructor-bool-id", "dag-list-seed",
         "dag-float-seed", "dag-str-seed", "dag-bool-seed", "matching-none-edges",
         "constructor-none-edges", "matching-float-n", "matching-none-n",
         "matching-bool-n", "matching-negative-n", "digraph-none-arcs",
         "digraph-int-arcs", "digraph-int-weights", "from-arcs-int-arc",
-        "from-arcs-none", "from-parents-none", "oracle-unknown-objective"])
+        "from-arcs-none", "from-parents-none", "oracle-unknown-objective",
+        "digraph-negative-weight", "leaf-weight-unweighted"])
 def test_non_integer_sizes_and_ids_are_malformed(make):
     # each once built a graph from the bool or the negative count, seeded
     # from the float or string, or raised a bare TypeError or ValueError

@@ -167,9 +167,12 @@ class TestMaxLeaves:
             assert t.is_spanning_arborescence()
             assert rep.certificate_ok
             # leaves lost in the matching phase equal the matching size
-            s1, s2 = rep.phase_stats["F1"], rep.phase_stats["F2"]
+            f1 = greedy_expand(d, 3)
+            f2, size = max_expand(f1)
+            s1, s2 = f1.stats(), f2.stats()
+            assert [rep.values[key] for key in ("N1", "k1", "N2", "k2")] == [s1.N, s1.k, s2.N, s2.k]
             lost = s1.leaves - s2.leaves
-            assert lost == rep.counts["matching_size"] == max_expand(greedy_expand(d, 3))[1]
+            assert lost == rep.values["matching_size"] == size
             assert 2 * lost == (s2.N - s2.k) - (s1.N - s1.k)
             assert s1.N - s1.k <= s2.N - s2.k
 
@@ -193,13 +196,13 @@ class TestMaxLeavesPacking:
         d = star(4)
         t, rep = max_leaves_packing(d)
         assert rep.leaf_count == 4
-        assert rep.counts["selected_triples"] == 0 and rep.counts["selected_pairs"] == 0
+        assert rep.values["selected_triples"] == 0 and rep.values["selected_pairs"] == 0
 
     def test_star_three_children_selects_triple(self):
         d = star(3)
         t, rep = max_leaves_packing(d)
-        assert rep.counts["selected_triples"] == 1
-        assert rep.counts["selected_pairs"] == 0
+        assert rep.values["selected_triples"] == 1
+        assert rep.values["selected_pairs"] == 0
         assert rep.leaf_count == 3
 
     def test_certified_with_both_packers_on_random_dags(self):
@@ -212,7 +215,7 @@ class TestMaxLeavesPacking:
             assert rep.certificate_ok
             opt, _ = exact_max_leaves(d)
             assert 3 * opt <= 4 * rep.leaf_count  # exact packer: ratio 4/3
-            assert opt <= rep.bounds["ub_lemma5"]
+            assert opt <= rep.values["ub_lemma5"]
 
     def test_counts_are_the_sets_the_packer_returned(self):
         sizes = []
@@ -226,8 +229,8 @@ class TestMaxLeavesPacking:
 
                 _, rep = max_leaves_packing(d, Packer("spy", Fraction(3), spy))
                 run = [len(s.members) for s in returned]
-                assert rep.counts["selected_triples"] == run.count(3)
-                assert rep.counts["selected_pairs"] == run.count(2)
+                assert rep.values["selected_triples"] == run.count(3)
+                assert rep.values["selected_pairs"] == run.count(2)
                 sizes += run
         assert 2 in sizes and 3 in sizes
 
@@ -235,7 +238,7 @@ class TestMaxLeavesPacking:
         packer = Packer("mine", Fraction(2), pack_greedy)
         for d in random_dag_corpus(40, 3, 14, seed=43):
             t, rep = max_leaves_packing(d, packer)
-            assert rep.algorithm == "w3dm-mine" and rep.certificate_ok
+            assert rep.pipeline.name == "w3dm-mine" and rep.certificate_ok
             assert rep.to_dict()["claimed_alpha"] == "2"
 
     def test_packer_receives_ascending_sets_with_their_subsets(self):
@@ -310,6 +313,11 @@ class TestExactOracle:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_weighted_objective_needs_weights(self):
+        # without the guard the search ends in a bare TypeError
+        with pytest.raises(PreconditionViolated, match="needs vertex weights"):
+            exact_max_leaves(star(3), "leaf_weight")
 
     def test_weighted_objective(self):
         d = build_digraph(
