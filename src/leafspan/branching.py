@@ -142,7 +142,7 @@ class Branching:
 
     @property
     def leaf_count(self) -> int:
-        return sum(1 for d in self.out_degree if d == 0)
+        return self.out_degree.count(0)
 
     def leaf_weight(self) -> int:
         """Total weight of out-degree-0 vertices (host must be weighted)."""

@@ -5,7 +5,7 @@ The two-phase certificate chains a lower bound on the produced leaf count
 against two independent upper bounds on the optimum; together they imply the
 3/2 ratio without knowing the optimum.  The weighted-packing variant has its
 own lower bound and an upper bound parametric in the packing solver's
-claimed approximation factor.
+approximation factor, which its pipeline's record pins.
 
 `PIPELINES` holds one `Pipeline` record per algorithm: its phases, its pinned
 packing ratio, and its certificate.  The solvers, the command line and
@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from .branching import Branching
-from .packing import EXACT_PACKER, GREEDY_PACKER
 
 
 def two_phase_lower_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
@@ -90,7 +89,7 @@ class Pipeline:
 
     ``phases`` lists ``(phase name, t)``: phase ``i`` is a t-branching that
     contains phase ``i - 1``, and the last is the spanning arborescence
-    ``T``.  ``alpha`` is the pinned ratio of the packing solver (None when
+    ``T``.  ``alpha`` is the packing ratio, pinned here alone (None when
     the pipeline packs nothing).  ``counts[i]`` names the expansions from
     phase ``i`` to ``i + 1``.  ``rule`` maps the phase statistics and alpha
     to the values of the ``bounds`` named here and any inequalities beyond
@@ -130,8 +129,8 @@ class SolveReport:
     def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching]) -> "SolveReport":
         """Report on the branchings of each phase, the arborescence last.
 
-        The bounds hold only when each phase is a t-branching for its t and
-        the last spans the host, so those are inequalities too.  Each
+        The bounds hold only when each phase is a t-branching for its t > 1
+        and the last spans the host, so those are inequalities too.  Each
         expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
         ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
         less t * count sum (children - t) over expanded leaves plus the arcs
@@ -147,7 +146,7 @@ class SolveReport:
         for i, s in enumerate(stats[:-1], start=1):
             values[f"N{i}"], values[f"k{i}"] = s.N, s.k
         inequalities = {f"{name} is a {t}-branching": b.is_t_branching(t)
-                        for (name, t), b in zip(pipeline.phases, phases)}
+                        for (name, t), b in zip(pipeline.phases, phases) if t > 1}
         inequalities["T is a spanning arborescence"] = tree.is_spanning_arborescence()
         identities = {}
         for i, name in enumerate(pipeline.counts):
@@ -224,12 +223,14 @@ PIPELINES: dict[str, Pipeline] = {
             lambda api, d: api.expansion_baseline(d),
         ),
         Pipeline(
-            "w3dm-greedy", _PACKING_PHASES, GREEDY_PACKER.claimed_alpha,
+            # a greedy pick blocks at most three optimum sets no heavier
+            "w3dm-greedy", _PACKING_PHASES, Fraction(3),
             _PACKING_COUNTS, ("lb_lemma4", "ub_lemma5"), _packing,
             lambda api, d: api.max_leaves_packing(d, api.GREEDY_PACKER),
         ),
         Pipeline(
-            "w3dm-exact", _PACKING_PHASES, EXACT_PACKER.claimed_alpha,
+            # branch-and-bound returns an optimum packing
+            "w3dm-exact", _PACKING_PHASES, Fraction(1),
             _PACKING_COUNTS, ("lb_lemma4", "ub_lemma5"), _packing,
             lambda api, d: api.max_leaves_packing(d, api.EXACT_PACKER),
         ),

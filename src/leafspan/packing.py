@@ -1,15 +1,14 @@
 """Weighted packing of 2/3-element sets (pairwise-disjoint selection).
 
 Two interchangeable solvers share one plug-in interface: a cheap greedy one
-and an exact branch-and-bound one.  Each carries the approximation factor it
-is entitled to claim; the ratio certificates downstream are parametric in
-that factor.
+and an exact branch-and-bound one.  The approximation factor each is
+certified at is pinned in its ``w3dm-<name>`` row of
+`certificates.PIPELINES`, not carried by the packer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -111,12 +110,11 @@ def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
 
 @dataclass(frozen=True)
 class Packer:
-    """A pluggable packing solver together with its claimed ratio."""
+    """A pluggable packing solver; its ratio is pinned in `certificates.PIPELINES`."""
 
     name: str
-    claimed_alpha: Fraction
     solve: Callable[[Sequence[PackSet]], list[PackSet]]
 
 
-GREEDY_PACKER = Packer("greedy", Fraction(3), pack_greedy)
-EXACT_PACKER = Packer("exact", Fraction(1), pack_exact)
+GREEDY_PACKER = Packer("greedy", pack_greedy)
+EXACT_PACKER = Packer("exact", pack_exact)

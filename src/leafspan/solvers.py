@@ -20,7 +20,6 @@ order, so identical inputs give identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from operator import itemgetter
 from typing import Optional
 
@@ -129,9 +128,12 @@ def max_leaves_packing(
     or three in-degree-0 out-neighbors contributes a set (weight = size - 1),
     and each 3-set also contributes its three 2-subsets.  Size-3 selections
     are applied before size-2 ones, then the attachment phase completes the
-    arborescence.  The report is named ``w3dm-<packer name>`` and certified
-    with the packer's ``claimed_alpha``.
+    arborescence.  The report is certified by its ``w3dm-<packer name>`` row
+    of `PIPELINES`; a packer without one raises PreconditionViolated.
     """
+    pipeline = PIPELINES.get(f"w3dm-{packer.name}") if isinstance(packer, Packer) else None
+    if pipeline is None:
+        raise PreconditionViolated(f"no certified pipeline for packer {packer!r:.40}")
     f1 = greedy_expand(d, 4)
 
     # heads come ascending (out_adj is sorted), as PackSet.members must be
@@ -150,10 +152,6 @@ def max_leaves_packing(
         for s in selection:
             if len(s.members) == size:
                 phases[-1]._expand(s.candidate, s.members)
-
-    pipeline = replace(
-        PIPELINES["w3dm-exact"], name=f"w3dm-{packer.name}", alpha=packer.claimed_alpha
-    )
     return _finish(pipeline, phases)
 
 
@@ -234,6 +232,4 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     dfs(0, base_cost)
     del dfs  # dfs refers to itself; break the cycle so its state is freed now
     assert best_parent is not None
-    branching = Branching.from_parents(d, best_parent)
-    assert branching.is_spanning_arborescence()
-    return total - best_cost, branching
+    return total - best_cost, Branching.from_parents(d, best_parent)

@@ -1,5 +1,6 @@
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import leafspan.cli
 from leafspan import (
     Branching,
+    EXACT_PACKER,
     GREEDY_PACKER,
     PackSet,
     Packer,
@@ -25,7 +27,7 @@ from leafspan import (
     pack_greedy,
 )
 from leafspan.certificates import PIPELINES, SolveReport, two_phase_bounds
-from leafspan.verify import verify_solution
+from leafspan.verify import read_solution, verify_solution, write_solution
 from oracles import (
     add_expansion,
     available_heads,
@@ -227,19 +229,45 @@ class TestMaxLeavesPacking:
                     returned.extend(solve(sets))
                     return returned
 
-                _, rep = max_leaves_packing(d, Packer("spy", Fraction(3), spy))
+                _, rep = max_leaves_packing(d, replace(GREEDY_PACKER, solve=spy))
                 run = [len(s.members) for s in returned]
                 assert rep.values["selected_triples"] == run.count(3)
                 assert rep.values["selected_pairs"] == run.count(2)
                 sizes += run
         assert 2 in sizes and 3 in sizes
 
-    def test_user_packer_certifies_with_its_claimed_alpha(self):
-        packer = Packer("mine", Fraction(2), pack_greedy)
+    def test_packer_without_a_pipeline_row_is_refused(self):
+        d = star(3)
+        for packer in (Packer("mine", pack_greedy), None):
+            with pytest.raises(PreconditionViolated):
+                max_leaves_packing(d, packer)
+
+    def test_each_packer_is_certified_by_its_own_row(self, tmp_path):
+        # the ratio lives in PIPELINES alone: a packer's run reports that row,
+        # and so does a packer wrapped with replace, which keeps the name
+        def spy(sets):
+            return pack_greedy(sets)
+
+        packers = (GREEDY_PACKER, EXACT_PACKER, replace(GREEDY_PACKER, solve=spy))
+        path = tmp_path / "sol.json"
         for d in random_dag_corpus(40, 3, 14, seed=43):
-            t, rep = max_leaves_packing(d, packer)
-            assert rep.pipeline.name == "w3dm-mine" and rep.certificate_ok
-            assert rep.to_dict()["claimed_alpha"] == "2"
+            for packer in packers:
+                try:
+                    t, rep = max_leaves_packing(d, packer)
+                except TooLarge:
+                    continue
+                assert rep.pipeline is PIPELINES[f"w3dm-{packer.name}"]
+                write_solution(path, rep, t.parent)
+                assert verify_solution(d, read_solution(path)) == []
+
+    def test_greedy_upper_bound_covers_the_optimum(self):
+        # certified at alpha = 1, greedy's ub_lemma5 would be 3 here
+        d = build_digraph(6, 4, [(0, 1), (2, 0), (2, 3), (2, 5), (3, 1), (3, 5),
+                                 (4, 0), (4, 2), (4, 3), (5, 1)])
+        opt, _ = exact_max_leaves(d)
+        _, rep = max_leaves_packing(d, GREEDY_PACKER)
+        assert opt == 4 and rep.certificate_ok
+        assert rep.values["ub_lemma5"] >= opt
 
     def test_packer_receives_ascending_sets_with_their_subsets(self):
         # the PackSet contract every Packer may rely on: members strictly
@@ -253,7 +281,7 @@ class TestMaxLeavesPacking:
                 received.extend(sets)
                 return pack_greedy(sets)
 
-            max_leaves_packing(d, Packer("spy", Fraction(3), spy))
+            max_leaves_packing(d, replace(GREEDY_PACKER, solve=spy))
             groups = {}
             for s in received:
                 assert type(s) is PackSet
@@ -380,6 +408,7 @@ def test_solve_and_verify_each_build_their_report_once(monkeypatch):
         for pipeline in PIPELINES.values():
             calls.clear()
             t, report = pipeline.solve(leafspan.cli, d)
+            assert report.pipeline is pipeline
             assert len(calls) == 1 and calls[0][-1] is t
             calls.clear()
             solution = {"parent": t.parent, "phase": report.phase,
@@ -387,3 +416,14 @@ def test_solve_and_verify_each_build_their_report_once(monkeypatch):
             assert verify_solution(d, solution) == []
             assert len(calls) == 1 and calls[0][-1] is trees[-1]
             assert len(calls[0]) == len(pipeline.phases)
+
+
+def test_shape_checks_start_the_inequalities_and_skip_t_one():
+    # every branching is a 1-branching, so no phase with t = 1 is checked
+    for d in random_dag_corpus(20, 1, 10, seed=61):
+        names = {name: list(p.solve(leafspan.cli, d)[1].inequalities)
+                 for name, p in PIPELINES.items()}
+        assert names["maxleaves"][:3] == [
+            "F1 is a 3-branching", "F2 is a 2-branching", "T is a spanning arborescence"]
+        assert names["exact"][0] == "T is a spanning arborescence"
+        assert not any(n.endswith("1-branching") for ns in names.values() for n in ns)
