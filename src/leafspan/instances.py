@@ -70,11 +70,10 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     rng.shuffle(perm)
     root = perm[0]
 
-    mandatory: set[tuple[int, int]] = set()
+    tail = [0] * n  # tail[i]: position of the tail of i's mandatory in-arc
     arcs: list[Arc] = []
     for i in range(1, n):
-        j = rng.randrange(i)
-        mandatory.add((j, i))
+        j = tail[i] = rng.randrange(i)
         arcs.append((perm[j], perm[i]))
 
     if p > 0:
@@ -94,7 +93,7 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
             while j >= n:  # carry into row i + 1, whose first pair is (i + 1, i + 2)
                 i += 1
                 j -= n - i - 1
-            if (i, j) not in mandatory:
+            if tail[j] != i:
                 arcs.append((perm[i], perm[j]))
 
     return build_digraph(n, root, arcs)

@@ -162,7 +162,7 @@ def _exact_guard(d: Digraph) -> None:
     for v in range(d.vertex_count):
         if v == d.root:
             continue
-        product *= max(1, len(d.in_adj[v]))
+        product *= len(d.in_adj[v])
         if product > EXACT_PRODUCT_LIMIT:
             raise TooLarge(
                 f"search space exceeds {EXACT_PRODUCT_LIMIT} parent functions"
@@ -187,7 +187,7 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     if objective == "leaf_weight":
         if d.vertex_weights is None:
             raise PreconditionViolated("leaf_weight objective needs vertex weights")
-        weight = list(d.vertex_weights)
+        weight = d.vertex_weights
     else:
         weight = [1] * n
     total = sum(weight)

@@ -26,7 +26,12 @@ from leafspan import (
     pack_exact,
     pack_greedy,
 )
-from leafspan.certificates import PIPELINES, SolveReport, two_phase_bounds
+from leafspan.certificates import (
+    PIPELINES,
+    SolveReport,
+    two_phase_bounds,
+    two_phase_certificate_ok,
+)
 from leafspan.verify import read_solution, verify_solution, write_solution
 from oracles import (
     add_expansion,
@@ -162,6 +167,18 @@ class TestMaxLeaves:
         assert lb == Fraction(53, 3)
         assert u2 == 27
         assert u3 == 25
+
+    def test_lemma1_bound_is_the_chain_of_the_upper_bounds(self):
+        # lb_lemma1 == (U3-1)/3 + (U2-1)/3 + 1 for every a1 = N1-k1, a2 = N2-k2,
+        # so "leaf_count >= lb_lemma1" already carries the 3/2 ratio
+        rng = random.Random(67)
+        grid = [(a1, a2, 0, 0) for a1 in range(41) for a2 in range(41)]
+        large = [tuple(rng.randrange(10**12) for _ in range(4)) for _ in range(20)]
+        for a1, a2, k1, k2 in grid + large:
+            lb, u2, u3 = two_phase_bounds(a1 + k1, k1, a2 + k2, k2)
+            assert (u3 - 1) / 3 + (u2 - 1) / 3 + 1 == lb
+            for leaves in range(int(lb) - 2, int(lb) + 3):
+                assert two_phase_certificate_ok(leaves, u2, u3) == (leaves >= lb)
 
     def test_spanning_and_certified_on_random_dags(self):
         for d in random_dag_corpus(200, 1, 20, seed=31):
@@ -427,3 +444,12 @@ def test_shape_checks_start_the_inequalities_and_skip_t_one():
             "F1 is a 3-branching", "F2 is a 2-branching", "T is a spanning arborescence"]
         assert names["exact"][0] == "T is a spanning arborescence"
         assert not any(n.endswith("1-branching") for ns in names.values() for n in ns)
+        # the list is closed: shapes, T, one per bound, one identity per count
+        for name, p in PIPELINES.items():
+            assert names[name] == (
+                [f"{phase} is a {t}-branching" for phase, t in p.phases if t > 1]
+                + ["T is a spanning arborescence"]
+                + [f"leaf_count >= {b}" if b.startswith("lb_") else f"{b} >= leaf_count"
+                   for b in p.bounds]
+                + [f"{t} * {c} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
+                   for i, (c, (_, t)) in enumerate(zip(p.counts, p.phases[1:]))])
