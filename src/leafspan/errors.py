@@ -32,12 +32,12 @@ class IllegalExpansion(LeafspanError):
     """An expansion violates one of its preconditions."""
 
 
-class NotTBranching(LeafspanError):
-    """A branching does not meet the minimum internal out-degree."""
-
-
 class PreconditionViolated(LeafspanError):
     """A solver phase was fed a branching it cannot legally extend."""
+
+
+class NotTBranching(PreconditionViolated):
+    """A branching does not meet the minimum internal out-degree."""
 
 
 class TooLarge(LeafspanError):

@@ -1,9 +1,8 @@
 """Weighted packing of 2/3-element sets (pairwise-disjoint selection).
 
-Two interchangeable solvers share one plug-in interface: a cheap greedy one
-and an exact branch-and-bound one.  The approximation factor each is
-certified at is pinned in its ``w3dm-<name>`` row of
-`certificates.PIPELINES`, not carried by the packer.
+Two packers, a cheap greedy one and an exact branch-and-bound one, are the
+solvers of the ``w3dm-greedy`` and ``w3dm-exact`` rows of
+`certificates.PIPELINES`; a row pins the ratio its packer is certified at.
 """
 
 from __future__ import annotations
@@ -51,48 +50,36 @@ def pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
     return chosen
 
 
-def _selection_sig(sel: Sequence[PackSet]) -> tuple:
-    return tuple(sorted((s.members, s.candidate) for s in sel))
-
-
 def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
     """Maximum-weight pairwise-disjoint subfamily by branch-and-bound.
 
-    Ties on total weight prefer more sets, then the lexicographically
-    smallest selection.  Raises TooLarge above ``EXACT_SET_LIMIT`` sets.
+    Ties on weight prefer more sets, then the smallest selection by
+    ``(members, candidate)``.  The search walks the sets in that order, each
+    tried before it is left out, and keeps the first best it meets: of two
+    equal-size selections it meets first the one with the smaller sorted
+    index list, the smaller by that key, and pruning (only of subtrees that
+    cannot reach the best weight) never drops a tie.  Returns the selection
+    in packing order; raises TooLarge above ``EXACT_SET_LIMIT`` sets.
     """
     if len(sets) > EXACT_SET_LIMIT:
         raise TooLarge(f"{len(sets)} sets exceeds guard of {EXACT_SET_LIMIT}")
-    order = _packing_order(sets)
+    order = sorted(sets, key=itemgetter(0, 2))
     m = len(order)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] + order[i].weight
 
-    best_weight = -1
-    best_count = -1
-    best_sig: tuple = ()
-    best_sel: list[PackSet] = []
-
+    best: tuple[tuple[int, int], list[PackSet]] = ((-1, -1), [])
     used: set[int] = set()
     cur: list[PackSet] = []
 
-    def consider() -> None:
-        nonlocal best_weight, best_count, best_sig, best_sel
-        w = sum(s.weight for s in cur)
-        c = len(cur)
-        if (w, c) < (best_weight, best_count):
-            return
-        sig = _selection_sig(cur)
-        if (w, c) > (best_weight, best_count) or sig < best_sig:
-            best_weight, best_count, best_sig = w, c, sig
-            best_sel = list(cur)
-
     def dfs(i: int, weight: int) -> None:
-        if weight + suffix[i] < best_weight:
+        nonlocal best
+        if weight + suffix[i] < best[0][0]:
             return  # cannot even tie
         if i == m:
-            consider()
+            if (weight, len(cur)) > best[0]:
+                best = (weight, len(cur)), list(cur)
             return
         s = order[i]
         if used.isdisjoint(s.members):
@@ -105,12 +92,12 @@ def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
 
     dfs(0, 0)
     del dfs  # dfs refers to itself; break the cycle so its state is freed now
-    return best_sel
+    return _packing_order(best[1])
 
 
 @dataclass(frozen=True)
 class Packer:
-    """A pluggable packing solver; its ratio is pinned in `certificates.PIPELINES`."""
+    """A packing solver; its ``w3dm-<name>`` row of `certificates.PIPELINES` pins its ratio."""
 
     name: str
     solve: Callable[[Sequence[PackSet]], list[PackSet]]

@@ -77,8 +77,6 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
     wins), computes a maximum matching, and applies the matched expansions.
     Returns the expanded branching and the matching size.
     """
-    if not f.is_t_branching(3):
-        raise PreconditionViolated("input is not a 3-branching")
     if not f.is_maximal(3):
         raise PreconditionViolated("input 3-branching is not maximal")
     d = f.host
@@ -177,7 +175,8 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     total weight of distinct parents used.  ``objective`` is "leaves" (count
     of out-degree-0 vertices) or "leaf_weight" (their summed vertex weights).
     The optimistic bound assumes every undecided vertex becomes a leaf, which
-    is admissible, so pruning never changes the returned value.
+    is admissible, so pruning never changes the returned value.  Ties go to
+    the first optimum in search order: free parents first, then ascending id.
     """
     if objective not in ("leaves", "leaf_weight"):
         raise MalformedInput(f"unknown objective {objective!r:.20}")
@@ -214,9 +213,8 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
         if cost >= best_cost:
             return
         if i == len(choices):
-            if cost < best_cost:
-                best_cost = cost
-                best_parent = list(parent)
+            best_cost = cost
+            best_parent = list(parent)
             return
         v = choices[i]
         options = d.in_adj[v]

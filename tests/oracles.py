@@ -2,8 +2,9 @@
 
 Each exhaustive one is guarded: it raises TooLarge above a size where
 exhaustive search stops being cheap.  `reference_pack_greedy` and
-`reference_pack_exact` are the packers written over frozensets, so they do
-not rely on the ascending order of `PackSet.members`.
+`reference_pack_exact` are packers written over frozensets, so they do not
+rely on the ascending order of `PackSet.members`; the exact one also keeps
+the earlier search order and tie-break.
 `reference_greedy_expand` and `brute_force_is_maximal` look at every vertex,
 with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
 supply seeded inputs for property tests, and `add_expansion` builds
@@ -178,11 +179,14 @@ def reference_pack_greedy(sets: Sequence[PackSet]) -> list[PackSet]:
 
 
 def reference_pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
-    """Branch-and-bound packing over frozensets; oracle twin of `pack_exact`.
+    """Branch-and-bound packing over frozensets, kept as an independent reference.
 
-    Same objective and tie-breaks: the largest total weight, then the most
-    sets, then the lexicographically smallest selection.  Raises TooLarge
-    above ``EXACT_SET_LIMIT`` sets.
+    It is the earlier `pack_exact`: it searches in packing order and, at
+    every leaf, compares sorted ``(members, candidate)`` signatures, where
+    `pack_exact` searches in signature order and keeps the first best.  Same
+    objective and tie-breaks: the largest total weight, then the most sets,
+    then the lexicographically smallest selection.  Raises TooLarge above
+    ``EXACT_SET_LIMIT`` sets.
     """
     if len(sets) > EXACT_SET_LIMIT:
         raise TooLarge(f"{len(sets)} sets exceeds guard of {EXACT_SET_LIMIT}")

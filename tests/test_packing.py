@@ -4,6 +4,7 @@ import random
 import pytest
 
 from leafspan import PackSet, TooLarge, pack_exact, pack_greedy
+from leafspan.packing import EXACT_SET_LIMIT
 from oracles import reference_pack_exact, reference_pack_greedy
 
 
@@ -71,6 +72,11 @@ def test_exact_tie_prefers_more_sets():
     sel = pack_exact(sets)
     assert sum(s.weight for s in sel) == 2
     assert sorted(s.members for s in sel) == [(1, 2), (3, 4)]
+    # {(1,2),(3,4)} and {(1,3),(2,4)} both weigh 2 with 2 sets; the first is
+    # smaller by (members, candidate) though its candidates come later
+    sets = [ps((1, 2), 1, 5), ps((3, 4), 1, 6), ps((1, 3), 1, 0), ps((2, 4), 1, 1)]
+    assert exhaustive_best_weight(sets) == 2
+    assert pack_exact(sets) == [ps((1, 2), 1, 5), ps((3, 4), 1, 6)]
 
 
 def test_exact_guard():
@@ -144,4 +150,11 @@ def test_packers_match_frozenset_reference():
     for _ in range(300):
         sets = pipeline_like_family(rng, rng.randint(3, 9), 10)
         assert pack_greedy(sets) == reference_pack_greedy(sets)
+        assert pack_exact(sets) == reference_pack_exact(sets)
+    # the largest systems the guard admits, where pruning is weakest
+    for _ in range(5):
+        sets = []
+        while len(sets) < EXACT_SET_LIMIT:
+            sets = pipeline_like_family(rng, rng.randint(10, 20), EXACT_SET_LIMIT)
+        sets = sets[:EXACT_SET_LIMIT]
         assert pack_exact(sets) == reference_pack_exact(sets)

@@ -10,6 +10,7 @@ from leafspan import (
     Branching,
     EXACT_PACKER,
     GREEDY_PACKER,
+    NotTBranching,
     PackSet,
     Packer,
     PreconditionViolated,
@@ -147,6 +148,13 @@ class TestMaxExpand:
         d = star(3)
         with pytest.raises(PreconditionViolated):
             max_expand(Branching(d))  # not maximal for t=3
+
+    def test_branching_with_a_two_expansion_rejected(self):
+        # a 2-expansion breaks the 3-branching shape, a precondition failure
+        f = add_expansion(Branching(star(2)), 0, [1, 2])
+        with pytest.raises(PreconditionViolated, match="not a 3-branching") as caught:
+            max_expand(f)
+        assert isinstance(caught.value, NotTBranching)
 
 
 class TestMaxLeaves:
