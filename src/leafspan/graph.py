@@ -1,14 +1,21 @@
 """Immutable rooted-DAG representation with validation and a deterministic order.
 
-Vertices are dense integer ids ``0..n-1``.  Construction is the one place
-arcs are validated: one pass checks each arc and files it under its tail.
-Each tail list is then sorted, and one walk over the tails in ascending
-order files every arc under its head too, so the head lists come out sorted
-and a duplicate arc shows as a head equal to the one before it.  The sorted
-tuples are the only copy of the arcs kept.  The graph must be simple,
-acyclic and rooted; the Kahn pass that checks this computes the
-smallest-id-first topological order, which every solver phase then reuses.
-Instances are immutable and safe to share.
+Vertices are dense integer ids ``0..n-1``.  A graph is given by its head
+lists: ``out[u]`` holds the heads of the arcs out of ``u``, strictly
+ascending.  `Digraph` is the one validator.  It checks the shape of ``out``
+and the arc count before any list of length n exists, then walks the tails
+in ascending order once: the walk tests every head (an integer id in range,
+above the one before it, not the tail) and files it under its head too, so
+``in_adj`` comes out sorted with no sort of its own.  When the walk finds a
+fault, the one reported is the first head that is not an id in range, else
+the first self-loop, else the first list out of order, where a head equal to
+the one before it is a duplicate arc.
+`build_digraph` takes arcs instead: it checks each one, files it under its
+tail, sorts each list and hands them to the same validator.
+
+The graph must be simple, acyclic and rooted; the Kahn pass that checks this
+computes the smallest-id-first topological order, which every solver phase
+then reuses.  Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -21,8 +28,52 @@ from .errors import CycleDetected, MalformedInput, NotRooted, require_int
 Arc = tuple[int, int]
 
 
+def _check_root(vertex_count: object, root: object) -> None:
+    require_int("vertex_count", vertex_count, 1)
+    if type(root) is not int or not 0 <= root < vertex_count:
+        raise MalformedInput(f"root {root!r:.20} out of range [0, {vertex_count})")
+
+
+def _check_size(vertex_count: int, arc_count: int, weights: Optional[list]) -> None:
+    """The checks made before any list of length n exists, so a declared n cannot size memory."""
+    if arc_count < vertex_count - 1:
+        raise NotRooted(f"{arc_count} arcs cannot span {vertex_count} vertices")
+    if weights is not None:
+        if len(weights) != vertex_count:
+            raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
+        if any(type(w) is not int or w < 0 for w in weights):
+            raise MalformedInput("weights must be nonnegative integers")
+
+
+def _arc_fault(vertex_count: int, arc: object) -> MalformedInput:
+    return MalformedInput(
+        f"arc {arc!r:.60} is not a pair of distinct integer vertex ids in [0, {vertex_count})"
+    )
+
+
+def _head_fault(vertex_count: int, out: list[list]) -> MalformedInput:
+    """The fault `Digraph` reports for ``out``: the first head that is not an
+    id in range, else the first self-loop, else the first list out of order."""
+    for u, heads in enumerate(out):
+        for v in heads:
+            if type(v) is not int or not 0 <= v < vertex_count:
+                return _arc_fault(vertex_count, (u, v))
+    for u, heads in enumerate(out):
+        if u in heads:
+            return _arc_fault(vertex_count, (u, u))
+    # the walk flagged a head that breaks neither rule, so a list is out of order
+    u, prev, v = next((u, prev, v) for u, heads in enumerate(out)
+                      for prev, v in zip(heads, heads[1:]) if v <= prev)
+    if v == prev:
+        return MalformedInput(f"duplicate arc ({u}, {v})")
+    return MalformedInput(f"heads of {u} are not ascending: {v} after {prev}")
+
+
 class Digraph:
     """A validated rooted directed acyclic graph.
+
+    Built from per-vertex head lists (see the module docstring); generators
+    and callers holding arcs use `build_digraph`.
 
     Attributes:
         vertex_count: number of vertices ``n``.
@@ -42,59 +93,44 @@ class Digraph:
         self,
         vertex_count: int,
         root: int,
-        arcs: Iterable[Arc],
+        out: list[list[int]],
         weights: Optional[Sequence[int]] = None,
     ):
-        require_int("vertex_count", vertex_count, 1)
-        if type(root) is not int or not 0 <= root < vertex_count:
-            raise MalformedInput(f"root {root!r:.20} out of range [0, {vertex_count})")
+        _check_root(vertex_count, root)
+        if type(out) is not list:
+            raise MalformedInput(f"out must be a list of head lists, got {out!r:.20}")
+        if len(out) != vertex_count:
+            raise MalformedInput(f"out has length {len(out)}, expected {vertex_count}")
+        if set(map(type, out)) != {list}:
+            u = next(u for u, heads in enumerate(out) if type(heads) is not list)
+            raise MalformedInput(f"heads of {u} must be a list, got {out[u]!r:.20}")
         try:
-            arcs = arcs if isinstance(arcs, list) else list(arcs)
             weights = None if weights is None else list(weights)
         except TypeError:
-            raise MalformedInput(f"arcs {arcs!r:.20} and weights {weights!r:.20} "
-                                 "must be iterable") from None
-        # before any list of length n exists, so a declared n cannot size memory
-        if len(arcs) < vertex_count - 1:
-            raise NotRooted(f"{len(arcs)} arcs cannot span {vertex_count} vertices")
+            raise MalformedInput(f"weights {weights!r:.20} must be iterable") from None
+        _check_size(vertex_count, sum(map(len, out)), weights)
 
-        if weights is not None:
-            if len(weights) != vertex_count:
-                raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
-            if any(type(w) is not int or w < 0 for w in weights):
-                raise MalformedInput("weights must be nonnegative integers")
-
-        # the one validation pass: each arc goes straight into its tail's list
-        bad = f"is not a pair of distinct integer vertex ids in [0, {vertex_count})"
-        out_adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for arc in arcs:
-            try:
-                u, v = arc
-            except (TypeError, ValueError):
-                u = v = None  # rejected just below
-            if (type(u) is not int or type(v) is not int
-                    or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
-                raise MalformedInput(f"arc {arc!r:.60} {bad}")
-            out_adj[u].append(v)
-
-        # ascending tails append each head list in order, so in_adj needs no sort
-        in_adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, heads in enumerate(out_adj):
-            if len(heads) > 1:
-                heads.sort()
-            prev = -1
-            for v in heads:
-                if v == prev:
-                    raise MalformedInput(f"duplicate arc ({u}, {v})")
-                in_adj[v].append(u)
-                prev = v
+        # the one walk over ascending tails: each head list is checked as it
+        # is filed under its heads, so in_adj needs no sort
+        n = vertex_count
+        in_adj: list[list[int]] = [[] for _ in range(n)]
+        try:
+            for u, heads in enumerate(out):
+                prev = -1
+                for v in heads:
+                    if not prev < v < n or v == u or type(v) is not int:
+                        raise _head_fault(n, out)
+                    in_adj[v].append(u)
+                    prev = v
+        except TypeError:  # a head that does not compare with an integer
+            raise _head_fault(n, out) from None
 
         self.vertex_count = vertex_count
         self.root = root
         # built from lists, not generators: CPython grows a tuple built from a
         # generator by realloc, so the size-n tuples freed with each graph
         # would pile up on its tuple free lists (about 3 MB) until a full gc
-        self.out_adj = tuple(list(map(tuple, out_adj)))
+        self.out_adj = tuple(list(map(tuple, out)))
         self.in_adj = tuple(list(map(tuple, in_adj)))
         self.vertex_weights = tuple(weights) if weights is not None else None
 
@@ -140,7 +176,10 @@ def build_digraph(
     arcs: Iterable[Arc],
     weights: Optional[Sequence[int]] = None,
 ) -> Digraph:
-    """Build and validate a rooted DAG.
+    """Build and validate a rooted DAG from its arcs, in any order.
+
+    Each arc is checked in input order and filed under its tail; the sorted
+    lists then go to the `Digraph` validator.
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
@@ -151,7 +190,29 @@ def build_digraph(
         NotRooted: some vertex is unreachable from ``root``, or there are
             fewer than ``vertex_count - 1`` arcs.
     """
-    return Digraph(vertex_count, root, arcs, weights)
+    _check_root(vertex_count, root)
+    try:
+        arcs = arcs if isinstance(arcs, list) else list(arcs)
+        weights = None if weights is None else list(weights)
+    except TypeError:
+        raise MalformedInput(f"arcs {arcs!r:.20} and weights {weights!r:.20} "
+                             "must be iterable") from None
+    _check_size(vertex_count, len(arcs), weights)
+
+    out: list[list[int]] = [[] for _ in range(vertex_count)]
+    for arc in arcs:
+        try:
+            u, v = arc
+        except (TypeError, ValueError):
+            u = v = None  # rejected just below
+        if (type(u) is not int or type(v) is not int
+                or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
+            raise _arc_fault(vertex_count, arc)
+        out[u].append(v)
+    for heads in out:
+        if len(heads) > 1:
+            heads.sort()
+    return Digraph(vertex_count, root, out, weights)
 
 
 def topological_order(d: Digraph) -> list[int]:

@@ -1,12 +1,16 @@
 """Instance generators, the independent-set reduction, and serialization.
 
-The JSON instance format is::
+The JSON instance format (version 2) stores the head lists::
 
-    { "version": 1, "n": int, "root": int, "arcs": [[t, h], ...],
+    { "version": 2, "n": int, "root": int, "out": [[heads of 0], [heads of 1], ...],
       "weights": [int, ...]?, "provenance": str? }
 
-Writers emit one line of compact JSON with sorted keys and the arcs in
-lexicographic order, so they are byte-stable; readers take any layout.
+with every head list strictly ascending.  `read_instance` hands them to
+`Digraph`, the one validator, as they are.  Version 1 files, which store
+``"arcs": [[t, h], ...]`` in any order, are still read: `build_digraph`
+files their arcs under their tails, sorts them and calls the same
+validator.  Writers emit version 2 as one line of compact JSON with sorted
+keys, so they are byte-stable; readers take any layout.
 """
 
 from __future__ import annotations
@@ -157,14 +161,9 @@ def reduce_independent_set(g: UndirectedGraphInstance) -> Digraph:
 def write_instance(
     d: Digraph, path: PathLike, provenance: Optional[str] = None
 ) -> None:
-    obj: dict = {
-        "version": 1,
-        "n": d.vertex_count,
-        "root": d.root,
-        "arcs": [[u, v] for u, heads in enumerate(d.out_adj) for v in heads],
-    }
+    obj: dict = {"version": 2, "n": d.vertex_count, "root": d.root, "out": d.out_adj}
     if d.vertex_weights is not None:
-        obj["weights"] = list(d.vertex_weights)
+        obj["weights"] = d.vertex_weights
     if provenance is not None:
         obj["provenance"] = provenance
     write_json_object(path, obj)
@@ -210,15 +209,18 @@ def _same(recorded: object, expected: object) -> bool:
 
 
 def read_instance(path: PathLike) -> Digraph:
-    """Parse and validate an instance file; malformed content raises ParseError."""
+    """Parse and validate an instance file of version 1 or 2; malformed content raises ParseError."""
     obj = read_json_object(path)
-    if not _same(obj.get("version"), 1):
-        raise ParseError(f"{path}: field 'version' must be 1")
+    n, root, weights = obj.get("n"), obj.get("root"), obj.get("weights")
     try:
-        return build_digraph(obj.get("n"), obj.get("root"), obj.get("arcs"), obj.get("weights"))
+        if _same(obj.get("version"), 2):
+            return Digraph(n, root, obj.get("out"), weights)
+        if _same(obj.get("version"), 1):
+            return build_digraph(n, root, obj.get("arcs"), weights)
     except LeafspanError as e:
         # the original CycleDetected / NotRooted / MalformedInput stays as cause
         raise ParseError(f"{path}: {e}") from e
+    raise ParseError(f"{path}: field 'version' must be 1 or 2")
 
 
 def write_dot(t: Branching, path: PathLike) -> None:

@@ -10,8 +10,9 @@ with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
 supply seeded inputs for property tests, and `add_expansion` builds
 branchings by hand.  `digraph_arcs` and `branching_arcs` list the arcs of a
 digraph and of a branching.  `leaves_to_independent_set` maps a solved
-`reduce_independent_set` instance back to the source graph, and
-`graph_fields` compares two digraphs field by field.
+`reduce_independent_set` instance back to the source graph.
+`graph_fields` compares two digraphs field by field, and `instance_v1`
+gives one as a version 1 instance object.
 """
 
 from __future__ import annotations
@@ -149,6 +150,19 @@ def leaves_to_independent_set(t: Branching) -> set[int]:
 def digraph_arcs(d: Digraph) -> tuple[Arc, ...]:
     """The ``(tail, head)`` arcs of ``d`` in lexicographic order, read from ``out_adj``."""
     return tuple((u, v) for u, heads in enumerate(d.out_adj) for v in heads)
+
+
+def instance_v1(d: Digraph) -> dict:
+    """``d`` as a version 1 instance object, the arcs as ``[t, h]`` pairs in lexicographic order.
+
+    Written with `write_json_object`, it gives the bytes `write_instance`
+    wrote before instances were stored as head lists.
+    """
+    obj = {"version": 1, "n": d.vertex_count, "root": d.root,
+           "arcs": [list(arc) for arc in digraph_arcs(d)]}
+    if d.vertex_weights is not None:
+        obj["weights"] = list(d.vertex_weights)
+    return obj
 
 
 def branching_arcs(b: Branching) -> list[Arc]:

@@ -3,10 +3,12 @@
 Each example starts from a valid file and applies a few mutations: a field
 or array entry dropped, retyped or duplicated (bools, floats, strings,
 nested lists, objects, nulls), an array truncated, or an arc appended that
-is out of range, a self-loop or a repeat.  `read_instance` must return a
-`Digraph` or raise `ParseError`, and `leafspan verify` must exit with one
-of its documented codes (0, 1, 2, 3) without a traceback.  Hypothesis runs
-derandomized, so every run tries the same examples.
+is out of range, a self-loop or a repeat.  An instance starts from the
+version 2 or the version 1 text of a base graph, so both readers are
+fuzzed.  `read_instance` must return a `Digraph` or raise `ParseError`, and
+`leafspan verify` must exit with one of its documented codes (0, 1, 2, 3)
+without a traceback.  Hypothesis runs derandomized, so every run tries the
+same examples.
 """
 
 import copy
@@ -28,6 +30,7 @@ from leafspan import (  # noqa: E402
     write_instance,
 )
 from leafspan.cli import ALGORITHMS, main  # noqa: E402
+from oracles import instance_v1  # noqa: E402
 
 FUZZ = settings(
     max_examples=150,
@@ -98,7 +101,8 @@ def mutate(data, obj):
 
 @pytest.fixture(scope="module")
 def instance_texts(tmp_path_factory):
-    """Valid instance texts: a random DAG and a vertex-weighted reduction."""
+    """Valid instance texts, a version 2 and a version 1 text of each of two
+    graphs: a random DAG and a vertex-weighted reduction."""
     directory = tmp_path_factory.mktemp("fuzz_instances")
     graphs = [
         gen_random_rooted_dag(8, 0.3, 1),
@@ -109,6 +113,7 @@ def instance_texts(tmp_path_factory):
         path = directory / f"{i}.json"
         write_instance(d, path, provenance="fuzz base")
         texts.append(path.read_text())
+        texts.append(json.dumps(dict(instance_v1(d), provenance="fuzz base")))
     return texts
 
 
@@ -127,7 +132,7 @@ def solved(tmp_path_factory):
     return instance, texts
 
 
-@FUZZ
+@settings(FUZZ, max_examples=2 * FUZZ.max_examples)  # as many per format as before
 @given(data=st.data())
 def test_mutated_instance_parses_or_raises_parse_error(tmp_path, instance_texts, data):
     obj = json.loads(data.draw(st.sampled_from(instance_texts)))

@@ -25,10 +25,13 @@ from leafspan import (
     write_dot,
     write_instance,
 )
+from leafspan.cli import ALGORITHMS, main
+from leafspan.instances import write_json_object
 from oracles import (
     brute_force_max_independent_set,
     digraph_arcs,
     graph_fields,
+    instance_v1,
     leaves_to_independent_set,
     random_dag_corpus,
 )
@@ -306,7 +309,7 @@ class TestSerialization:
         p = tmp_path / "i.json"
         write_instance(d, p)
         assert p.read_text() == (
-            '{"arcs":[[0,1],[0,2],[1,3],[2,3]],"n":4,"root":0,"version":1}\n'
+            '{"n":4,"out":[[1,2],[3],[3],[]],"root":0,"version":2}\n'
         )
 
     def test_weighted_round_trip(self, tmp_path):
@@ -352,6 +355,20 @@ class TestSerialization:
         assert isinstance(info.value.__cause__, NotRooted)
         assert peak < 1_000_000
 
+    def test_declared_n_does_not_size_memory_in_format_2(self, tmp_path):
+        # 2 head lists cannot be 200k: rejected before any list of length n
+        p = tmp_path / "huge_n.json"
+        p.write_text('{"version": 2, "n": 200000, "root": 0, "out": [[1], [2]]}')
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                read_instance(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(info.value.__cause__, MalformedInput)
+        assert peak < 1_000_000
+
     def test_parse_error_wrong_weight_length(self, tmp_path):
         p = tmp_path / "w.json"
         p.write_text(
@@ -365,6 +382,7 @@ class TestSerialization:
         [
             "[1, 2, 3]",
             '{"version": 2, "n": 1, "root": 0, "arcs": []}',
+            '{"version": 3, "n": 1, "root": 0, "out": [[]]}',
             '{"version": true, "n": 1, "root": 0, "arcs": []}',
             '{"version": 1.0, "n": 1, "root": 0, "arcs": []}',
             '{"version": 1, "root": 0, "arcs": []}',
@@ -418,3 +436,113 @@ class TestSerialization:
         p = tmp_path / "t.dot"
         write_dot(t, p)
         assert p.read_text().count("style=bold") == 2
+
+
+# Version 2 bodies (the fields after "version": 2), each with one fault, or
+# several to pin which is reported: the validator checks every head's id
+# first, then self-loops, then the order of each list, then the Kahn pass
+FORMAT_2_ERRORS = {
+    "out-missing": ('"n": 3, "root": 0',
+                    "MalformedInput: out must be a list of head lists, got None"),
+    "out-int": ('"n": 3, "root": 0, "out": 5',
+                "MalformedInput: out must be a list of head lists, got 5"),
+    "out-object": ('"n": 3, "root": 0, "out": {"0": [1]}',
+                   "MalformedInput: out must be a list of head lists, got {'0': [1]}"),
+    "out-too-short": ('"n": 3, "root": 0, "out": [[1, 2], [2]]',
+                      "MalformedInput: out has length 2, expected 3"),
+    "out-too-long": ('"n": 2, "root": 0, "out": [[1], [], []]',
+                     "MalformedInput: out has length 3, expected 2"),
+    "heads-int": ('"n": 3, "root": 0, "out": [[1, 2], 5, []]',
+                  "MalformedInput: heads of 1 must be a list, got 5"),
+    "heads-null": ('"n": 3, "root": 0, "out": [[1, 2], [2], null]',
+                   "MalformedInput: heads of 2 must be a list, got None"),
+    "heads-string": ('"n": 3, "root": 0, "out": [[1, 2], "2", []]',
+                     "MalformedInput: heads of 1 must be a list, got '2'"),
+    "bool-head": ('"n": 3, "root": 0, "out": [[1, true], [2], []]',
+                  "MalformedInput: arc (0, True) is not a pair of distinct integer "
+                  "vertex ids in [0, 3)"),
+    "float-head": ('"n": 3, "root": 0, "out": [[1, 2.0], [2], []]',
+                   "MalformedInput: arc (0, 2.0) is not a pair of distinct integer "
+                   "vertex ids in [0, 3)"),
+    "nested-head": ('"n": 3, "root": 0, "out": [[1, [2]], [2], []]',
+                    "MalformedInput: arc (0, [2]) is not a pair of distinct integer "
+                    "vertex ids in [0, 3)"),
+    "head-out-of-range": ('"n": 3, "root": 0, "out": [[1, 3], [2], []]',
+                          "MalformedInput: arc (0, 3) is not a pair of distinct integer "
+                          "vertex ids in [0, 3)"),
+    "negative-head": ('"n": 3, "root": 0, "out": [[-1, 1], [2], []]',
+                      "MalformedInput: arc (0, -1) is not a pair of distinct integer "
+                      "vertex ids in [0, 3)"),
+    "self-loop": ('"n": 3, "root": 0, "out": [[1, 2], [1, 2], []]',
+                  "MalformedInput: arc (1, 1) is not a pair of distinct integer "
+                  "vertex ids in [0, 3)"),
+    "descending-pair": ('"n": 3, "root": 0, "out": [[2, 1], [2], []]',
+                        "MalformedInput: heads of 0 are not ascending: 1 after 2"),
+    "equal-pair": ('"n": 3, "root": 0, "out": [[1, 1], [2], []]',
+                   "MalformedInput: duplicate arc (0, 1)"),
+    "too-few-heads": ('"n": 3, "root": 0, "out": [[1], [], []]',
+                      "NotRooted: 1 arcs cannot span 3 vertices"),
+    "cycle": ('"n": 4, "root": 0, "out": [[1], [2], [3], [1]]',
+              "CycleDetected: input contains a directed cycle"),
+    "second-source": ('"n": 4, "root": 0, "out": [[1], [3], [3], []]',
+                      "NotRooted: vertex 2 unreachable from root 0"),
+    "weights-not-iterable": ('"n": 2, "root": 0, "out": [[1], []], "weights": 7',
+                             "MalformedInput: weights 7 must be iterable"),
+    # several faults in one list
+    "range-beats-self-loop-and-order": (
+        '"n": 4, "root": 0, "out": [[3, 3, 0, 7], [2], [3], []]',
+        "MalformedInput: arc (0, 7) is not a pair of distinct integer vertex ids in [0, 4)"),
+    "self-loop-beats-order": (
+        '"n": 4, "root": 0, "out": [[3, 2, 2, 0], [2], [3], []]',
+        "MalformedInput: arc (0, 0) is not a pair of distinct integer vertex ids in [0, 4)"),
+    "descending-before-equal": ('"n": 4, "root": 0, "out": [[2, 1, 1], [2], [3], []]',
+                                "MalformedInput: heads of 0 are not ascending: 1 after 2"),
+    "equal-before-descending": ('"n": 4, "root": 0, "out": [[1, 1, 3, 2], [2], [3], []]',
+                                "MalformedInput: duplicate arc (0, 1)"),
+    # faults in two lists
+    "later-id-beats-earlier-self-loop": (
+        '"n": 3, "root": 0, "out": [[0, 1], [2], [true]]',
+        "MalformedInput: arc (2, True) is not a pair of distinct integer vertex ids in [0, 3)"),
+    "later-self-loop-beats-earlier-order": (
+        '"n": 3, "root": 0, "out": [[2, 1], [1, 2], []]',
+        "MalformedInput: arc (1, 1) is not a pair of distinct integer vertex ids in [0, 3)"),
+    "order-beats-cycle": ('"n": 3, "root": 0, "out": [[2, 1], [2], [1]]',
+                          "MalformedInput: heads of 0 are not ascending: 1 after 2"),
+}
+
+
+@pytest.mark.parametrize("fields, expected", FORMAT_2_ERRORS.values(), ids=FORMAT_2_ERRORS)
+def test_format_2_faults_name_the_first_broken_rule(tmp_path, fields, expected):
+    p = tmp_path / "bad.json"
+    p.write_text('{"version": 2, ' + fields + "}")
+    with pytest.raises(ParseError) as info:
+        read_instance(p)
+    cause = info.value.__cause__
+    assert f"{type(cause).__name__}: {cause}" == expected
+    assert str(info.value) == f"{p}: {cause}"
+
+
+def format_corpus():
+    """Graphs of every kind the generators make, weighted ones included."""
+    rng = random.Random(23)
+    weighted = [reduce_independent_set(random_undirected(rng, rng.randint(1, 7), 0.4))
+                for _ in range(8)]
+    adversarial = [gen_adversarial_family(k) for k in range(1, 7)]
+    return random_dag_corpus(16, 1, 40, seed=23) + weighted + adversarial
+
+
+def test_both_formats_read_and_solve_the_same(tmp_path):
+    """A graph in a version 1 file and in a version 2 file reads to the same
+    graph, and `leafspan solve` writes the same bytes from either file."""
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    for d in format_corpus():
+        write_json_object(v1, instance_v1(d))
+        write_instance(d, v2)
+        assert graph_fields(read_instance(v1)) == graph_fields(read_instance(v2)) == graph_fields(d)
+        for algo in ALGORITHMS:
+            solutions = []
+            for inst in (v1, v2):
+                sol = tmp_path / f"{inst.stem}.sol.json"
+                code = main(["solve", "--algo", algo, "--input", str(inst), "--output", str(sol)])
+                solutions.append((code, sol.read_bytes() if code == 0 else None))
+            assert solutions[0] == solutions[1]
