@@ -37,10 +37,11 @@ class BranchingStats:
 
 
 class Branching:
-    """Mutable branching value; solver phases copy before mutating.
+    """Mutable branching value; each phase copies the one before, then extends it.
 
-    In-place mutation (``_expand``, ``_attach``) is reserved for owners of a
-    private copy.
+    Only the owner of a private copy mutates it: ``_expand`` checks heads
+    that come from outside, such as a packer's selection, and ``attach`` and
+    ``verify``, whose arcs are checked host arcs, write the arrays directly.
     """
 
     __slots__ = ("host", "parent", "out_degree")
@@ -88,15 +89,6 @@ class Branching:
         b.out_degree = list(self.out_degree)
         return b
 
-    def restricted(self, keep: Sequence[bool]) -> "Branching":
-        """The sub-branching made of the arcs into the vertices ``v`` with ``keep[v]``."""
-        b = Branching(self.host)
-        for v, p in enumerate(self.parent):
-            if p is not None and keep[v]:
-                b.parent[v] = p
-                b.out_degree[p] += 1
-        return b
-
     def free_heads(self, t: int) -> Iterator[tuple[int, list[int]]]:
         """``(v, heads)`` for each vertex ``v`` that might still make a ``t``-expansion.
 
@@ -130,15 +122,6 @@ class Branching:
         for h in heads:
             self.parent[h] = v
         self.out_degree[v] = len(heads)
-
-    def _attach(self, p: int, v: int) -> None:
-        """Add a single arc (p, v); used by the final attachment phase."""
-        if self.parent[v] is not None:
-            raise IllegalExpansion(f"head {v} already has a parent")
-        if p not in self.host.in_adj[v]:
-            raise IllegalExpansion(f"({p}, {v}) is not a host arc")
-        self.parent[v] = p
-        self.out_degree[p] += 1
 
     @property
     def leaf_count(self) -> int:

@@ -28,12 +28,14 @@ def two_phase_lower_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
 
 
 def upper_bound_from_two_branching(N2: int, k2: int) -> Fraction:
-    """opt <= N2 - k2 + 1, valid for any maximal spanning 2-branching."""
+    """opt <= N2 - k2 + 1 for a closed spanning 2-branching: maximal, and no internal
+    vertex has a parentless host out-neighbor (maximal alone is not enough)."""
     return Fraction(N2 - k2 + 1)
 
 
 def two_phase_upper_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
-    """opt <= (N1-k1)/2 + (N2-k2)/2 + 1, the sharper two-phase bound."""
+    """The sharper two-phase bound opt <= (N1-k1)/2 + (N2-k2)/2 + 1, when F1 and F2 are
+    closed: maximal 3- and 2-branchings, no internal vertex with a parentless host out-neighbor."""
     return Fraction(N1 - k1, 2) + Fraction(N2 - k2, 2) + 1
 
 
@@ -74,7 +76,8 @@ def packing_lower_bound(
 def packing_upper_bound(
     N1: int, k1: int, N2: int, k2: int, N3: int, k3: int, alpha: Fraction
 ) -> Fraction:
-    """opt bound parametric in the packing solver's approximation factor."""
+    """opt bound parametric in the packing solver's approximation factor, when F1 and F3 are
+    closed: maximal 4- and 2-branchings, no internal vertex with a parentless host out-neighbor."""
     return (
         Fraction(3 - 2 * alpha, 3) * (N1 - k1)
         + (alpha / 6) * (N2 - k2)

@@ -65,7 +65,9 @@ def attach(f: Branching) -> Branching:
             pick = next(
                 (p for p in candidates if work.out_degree[p] > 0), candidates[0]
             )
-            work._attach(pick, v)
+            # an in-neighbor of a parentless v: the arc needs no check
+            work.parent[v] = pick
+            work.out_degree[pick] += 1
     return work
 
 

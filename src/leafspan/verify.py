@@ -5,7 +5,8 @@ arborescence, a per-vertex ``phase`` index into its pipeline's phase names,
 and the solver's report.  Phase ``i`` of the run is the prefix of the
 arborescence made of the arcs into vertices whose index is at most ``i``.
 Verification trusts only the instance and those two arrays: it rebuilds
-every phase, then rebuilds the phase array and the report from the phases
+every phase, each a copy of the one before plus the arcs into its own
+vertices, then rebuilds the phase array and the report from the phases
 with the code the solver used (`SolveReport.from_phases` and the pipeline's
 record in `certificates.PIPELINES`), and compares them with the recorded
 ones, the phase array entry by entry and the report key by key, counts such
@@ -84,7 +85,16 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         problems.append(f"phase must be {n} indices in [0, {count})")
         return problems
 
-    phases = [t.restricted([p <= i for p in phase]) for i in range(count - 1)] + [t]
+    # phase i: phase i - 1 plus t's arcs into index-i vertices, checked by from_parents
+    phases: list[Branching] = []
+    for i in range(count - 1):
+        f = phases[-1].copy() if phases else Branching(d)
+        for v, p in enumerate(t.parent):
+            if p is not None and phase[v] == i:
+                f.parent[v] = p
+                f.out_degree[p] += 1
+        phases.append(f)
+    phases.append(t)
     expected = SolveReport.from_phases(pipeline, phases)
     if phase != expected.phase:
         v = next(v for v in range(n) if phase[v] != expected.phase[v])

@@ -429,6 +429,21 @@ class TestSerialization:
             "  1 -> 2 [style=bold, penwidth=2];\n"
             "}\n"
         )
+        # a weighted host labels every vertex with its weight, the root too
+        d = reduce_independent_set(UndirectedGraphInstance.build(2, [(0, 1)]))
+        write_dot(Branching.from_parents(d, [None, 0, 0, 1]), p1)
+        assert p1.read_bytes() == (
+            b"digraph instance {\n"
+            b'  0 [shape=doublecircle, label="0 w=0"];\n'
+            b'  1 [label="1 w=1"];\n'
+            b'  2 [label="2 w=1"];\n'
+            b'  3 [label="3 w=0"];\n'
+            b"  0 -> 1 [style=bold, penwidth=2];\n"
+            b"  0 -> 2 [style=bold, penwidth=2];\n"
+            b"  1 -> 3 [style=bold, penwidth=2];\n"
+            b"  2 -> 3;\n"
+            b"}\n"
+        )
 
     def test_dot_marks_branching_arcs(self, tmp_path):
         d = build_digraph(3, 0, [(0, 1), (0, 2)])

@@ -85,7 +85,7 @@ class TestGreedyExpand:
 
     def test_output_is_maximal_t_branching_on_random_dags(self):
         for i, d in enumerate(random_dag_corpus(100, 1, 25, seed=21)):
-            for t in (1, 2, 3):
+            for t in (1, 2, 3, 4):  # 4 is the packing pipeline's F1
                 f = greedy_expand(d, t)
                 assert f.is_t_branching(t)
                 assert f.is_maximal(t)
@@ -142,7 +142,12 @@ class TestMaxExpand:
             if len(pairs) <= 25:
                 oracle = brute_force_matching(d.vertex_count, sorted(pairs))
                 assert size == len(oracle)
-            assert f2.is_t_branching(2)
+            # F2 is closed, as the upper bounds need: maximal, and no internal
+            # vertex keeps an in-degree-0 out-neighbor
+            assert f2.is_maximal(2)
+            assert not any(
+                f2.out_degree[v] and available_heads(f2, v) for v in range(d.vertex_count)
+            )
 
     def test_precondition_rejected(self):
         d = star(3)
@@ -435,12 +440,15 @@ def test_solve_and_verify_each_build_their_report_once(monkeypatch):
             t, report = pipeline.solve(leafspan.cli, d)
             assert report.pipeline is pipeline
             assert len(calls) == 1 and calls[0][-1] is t
-            calls.clear()
+            solved = calls.pop()
             solution = {"parent": t.parent, "phase": report.phase,
                         "leaf_count": report.leaf_count, "report": report.to_dict()}
             assert verify_solution(d, solution) == []
             assert len(calls) == 1 and calls[0][-1] is trees[-1]
             assert len(calls[0]) == len(pipeline.phases)
+            # verify rebuilds the very phases the solver built
+            assert [(f.parent, f.out_degree) for f in calls[0]] == [
+                (f.parent, f.out_degree) for f in solved]
 
 
 def test_shape_checks_start_the_inequalities_and_skip_t_one():
