@@ -40,8 +40,8 @@ class Branching:
     """Mutable branching value; each phase copies the one before, then extends it.
 
     Only the owner of a private copy mutates it: ``_expand`` checks heads
-    that come from outside, such as a packer's selection, and ``attach`` and
-    ``verify``, whose arcs are checked host arcs, write the arrays directly.
+    that come from outside, such as a packer's selection; ``greedy_expand``,
+    ``max_expand``, ``attach`` and ``verify`` write their own host arcs directly.
     """
 
     __slots__ = ("host", "parent", "out_degree")
@@ -92,15 +92,13 @@ class Branching:
     def free_heads(self, t: int) -> Iterator[tuple[int, list[int]]]:
         """``(v, heads)`` for each vertex ``v`` that might still make a ``t``-expansion.
 
-        Walks ``host.order`` and skips every vertex that is internal or has
-        fewer than ``t`` host out-arcs; ``heads`` are the out-neighbors of
-        ``v`` that still have in-degree 0, ascending.  Each vertex is read
-        when it is reached, so the caller may expand ``v`` before the next.
+        A read-only scan in ascending ``v``: skips every vertex that is
+        internal or has fewer than ``t`` host out-arcs; ``heads`` are the
+        out-neighbors of ``v`` that still have in-degree 0, ascending.
         """
         _check_t(t)
-        parent, out_degree, out_adj = self.parent, self.out_degree, self.host.out_adj
-        for v in self.host.order:
-            arcs = out_adj[v]
+        parent, out_degree = self.parent, self.out_degree
+        for v, arcs in enumerate(self.host.out_adj):
             if len(arcs) >= t and out_degree[v] == 0:
                 yield v, [u for u in arcs if parent[u] is None]
 

@@ -14,8 +14,8 @@ read the digraph from ``f.host``.
 
 Each pipeline returns its arborescence and a `SolveReport` certified by its
 record in `certificates.PIPELINES`, the same code `verify` rechecks with.
-All vertex iteration happens in the digraph's deterministic topological
-order, so identical inputs give identical outputs.
+Greedy expansion and attachment walk the topological order, and the read-only
+`Branching.free_heads` walks vertex ids, so identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Optional
 
-from .branching import Branching
+from .branching import Branching, _check_t
 from .certificates import PIPELINES, Pipeline, SolveReport
 from .errors import MalformedInput, PreconditionViolated, TooLarge
 from .graph import Digraph, topological_order
@@ -37,15 +37,22 @@ EXACT_SMALL_N = 16
 def greedy_expand(d: Digraph, t: int) -> Branching:
     """Maximal spanning t-branching of ``d``, built from the empty branching.
 
-    Each out-degree-0 vertex is examined once, in topological order; when it
-    still has at least ``t`` in-degree-0 out-neighbors, all of them are taken.
-    A vertex is expanded only while it has out-degree 0, so no internal
-    vertex is left with an in-degree-0 out-neighbor.
+    Each vertex is examined once, in topological order, so it still has
+    out-degree 0; if at least ``t`` of its out-neighbors have in-degree 0,
+    all of them are taken, written directly: host arcs into parentless
+    vertices.  No internal vertex keeps an in-degree-0 out-neighbor.
     """
+    _check_t(t)
     work = Branching(d)
-    for v, heads in work.free_heads(t):
-        if len(heads) >= t:
-            work._expand(v, heads)
+    parent, out_degree, out_adj = work.parent, work.out_degree, d.out_adj
+    for v in d.order:
+        arcs = out_adj[v]
+        if len(arcs) >= t:
+            heads = [u for u in arcs if parent[u] is None]
+            if len(heads) >= t:
+                for u in heads:
+                    parent[u] = v
+                out_degree[v] = len(heads)
     return work
 
 
@@ -86,19 +93,20 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
     # candidate v: out-degree 0 with exactly two in-degree-0 out-neighbors;
     # heads are sorted, so each pair is already a normalized matching edge
     edge_for_pair: dict[tuple[int, ...], int] = {}
+    # the scan walks ids, so the first candidate of a pair is its smallest
     for v, heads in f.free_heads(2):
         if len(heads) == 2:
-            pair = tuple(heads)
-            if v < edge_for_pair.get(pair, d.vertex_count):
-                edge_for_pair[pair] = v
+            edge_for_pair.setdefault(tuple(heads), v)
 
     matched = max_matching(d.vertex_count, edge_for_pair)
 
     # a pair is exactly its candidate's free heads, and matched pairs are
     # disjoint, so applying one leaves the others' heads free
     work = f.copy()
-    for v, pair in sorted((edge_for_pair[pair], pair) for pair in matched):
-        work._expand(v, pair)
+    parent, out_degree = work.parent, work.out_degree
+    for a, b in matched:
+        v = parent[a] = parent[b] = edge_for_pair[a, b]
+        out_degree[v] = 2
     return work, len(matched)
 
 
@@ -136,14 +144,16 @@ def max_leaves_packing(
         raise PreconditionViolated(f"no certified pipeline for packer {packer!r:.40}")
     f1 = greedy_expand(d, 4)
 
-    # heads come ascending (out_adj is sorted), as PackSet.members must be
+    # heads come ascending (out_adj is sorted), as PackSet.members must be;
+    # the scan walks ids, so the sets come in (candidate, members) order
     sets: list[PackSet] = []
     for v, heads in f1.free_heads(2):
-        if 2 <= len(heads) <= 3:
-            sets.append(PackSet(tuple(heads), len(heads) - 1, v))
-            if len(heads) == 3:
-                a, b, c = heads
-                sets += [PackSet((a, b), 1, v), PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
+        if len(heads) == 2:
+            sets.append(PackSet(tuple(heads), 1, v))
+        elif len(heads) == 3:
+            a, b, c = heads
+            sets += [PackSet((a, b), 1, v), PackSet((a, b, c), 2, v),
+                     PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
     selection = sorted(packer.solve(sets), key=itemgetter(2))  # by candidate
     phases = [f1]

@@ -5,10 +5,10 @@ exhaustive search stops being cheap.  `reference_pack_greedy` and
 `reference_pack_exact` are packers written over frozensets, so they do not
 rely on the ascending order of `PackSet.members`; the exact one also keeps
 the earlier search order and tie-break.
-`reference_greedy_expand` and `brute_force_is_maximal` look at every vertex,
-with no skip on the host out-degree.  `random_dag_corpus` and `random_edges`
-supply seeded inputs for property tests, and `add_expansion` builds
-branchings by hand.  `digraph_arcs` and `branching_arcs` list the arcs of a
+`reference_greedy_expand`, `reference_max_expand` and
+`brute_force_is_maximal` look at every vertex, with no skip on the host
+out-degree.  `random_dag_corpus` and `random_edges` supply seeded inputs for
+property tests, and `add_expansion` builds branchings by hand.  `digraph_arcs` and `branching_arcs` list the arcs of a
 digraph and of a branching.  `leaves_to_independent_set` maps a solved
 `reduce_independent_set` instance back to the source graph.
 `graph_fields` compares two digraphs field by field, and `instance_v1`
@@ -31,7 +31,7 @@ from leafspan import (
     gen_random_rooted_dag,
 )
 from leafspan.graph import Arc
-from leafspan.matching import Edge, _normalize_edges
+from leafspan.matching import Edge, _normalize_edges, max_matching
 from leafspan.packing import EXACT_SET_LIMIT
 
 BRUTE_FORCE_EDGE_LIMIT = 25
@@ -299,6 +299,25 @@ def reference_greedy_expand(d: Digraph, t: int) -> Branching:
             if len(heads) >= t:
                 work._expand(v, heads)
     return work
+
+
+def reference_max_expand(f: Branching) -> tuple[Branching, int]:
+    """Matching-optimal 2-expansion over ``d.order`` with checked expansions; twin of `max_expand`.
+
+    Keeps the smallest candidate of each pair, matches the pairs with
+    `max_matching`, and applies each matched pair through `add_expansion`.
+    """
+    d = f.host
+    edge_for_pair: dict[tuple[int, ...], int] = {}
+    for v in d.order:
+        heads = available_heads(f, v)
+        if f.out_degree[v] == 0 and len(heads) == 2:
+            pair = tuple(heads)
+            edge_for_pair[pair] = min(v, edge_for_pair.get(pair, v))
+    matched = max_matching(d.vertex_count, edge_for_pair)
+    for pair in matched:
+        f = add_expansion(f, edge_for_pair[pair], pair)
+    return f, len(matched)
 
 
 def add_expansion(b: Branching, v: int, heads: Sequence[int]) -> Branching:

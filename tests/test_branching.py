@@ -197,8 +197,9 @@ def test_scan_matches_brute_force_on_random_branchings():
             branchings.append(b)
         for b in branchings:
             for t in range(1, 6):
+                # the scan walks ids in ascending order
                 assert list(b.free_heads(t)) == [
-                    (v, available_heads(b, v)) for v in d.order
+                    (v, available_heads(b, v)) for v in range(d.vertex_count)
                     if b.out_degree[v] == 0 and len(d.out_adj[v]) >= t
                 ]
                 if not b.is_t_branching(t):

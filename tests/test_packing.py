@@ -145,6 +145,17 @@ def pipeline_like_family(rng, universe, candidates):
     return sets
 
 
+def test_packers_ignore_input_order():
+    # the pipeline passes its sets in (candidate, members) order; any other
+    # order of the same sets must give the same selection
+    rng = random.Random(13)
+    for _ in range(300):
+        sets = pipeline_like_family(rng, rng.randint(3, 9), 10)
+        presorted = sorted(sets, key=lambda s: (s.candidate, s.members))
+        for solver in (pack_greedy, pack_exact):
+            assert solver(rng.sample(sets, len(sets))) == solver(presorted)
+
+
 def test_packers_match_frozenset_reference():
     rng = random.Random(11)
     for _ in range(300):

@@ -2,6 +2,7 @@ import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -39,10 +40,12 @@ from oracles import (
     available_heads,
     brute_force_matching,
     branching_arcs,
+    brute_force_is_maximal,
     brute_force_max_leaves,
     digraph_arcs,
     random_dag_corpus,
     reference_greedy_expand,
+    reference_max_expand,
 )
 
 
@@ -65,6 +68,47 @@ def shared_head_instance():
     return build_digraph(9, 0, arcs)
 
 
+def relabeled(n, root, arcs, rng):
+    """``build_digraph`` after a seeded vertex permutation, so ids and d.order disagree."""
+    perm = rng.sample(range(n), n)
+    return build_digraph(n, perm[root], [(perm[u], perm[v]) for u, v in arcs])
+
+
+def candidate_pairs(rng, candidates, heads):
+    """Arcs giving each candidate two of ``heads``; the first ones cover every head."""
+    arcs = []
+    for i, v in enumerate(candidates):
+        if 2 * i < len(heads):
+            pair = (heads[2 * i], heads[(2 * i + 1) % len(heads)])
+        else:
+            pair = rng.sample(heads, 2)
+        arcs += [(v, h) for h in pair]
+    return arcs
+
+
+def hub_dag(rng, c, h):
+    """Root 0 fans out to ``c >= 3`` candidates, each pointing at two of ``h`` shared heads."""
+    candidates, heads = list(range(1, c + 1)), list(range(c + 1, c + 1 + h))
+    arcs = [(0, v) for v in candidates] + candidate_pairs(rng, candidates, heads)
+    return relabeled(1 + c + h, 0, arcs, rng)
+
+
+def spine_dag(rng, internal, h):
+    """A ternary spine whose ``2 * internal + 1`` leaves each point at two of ``h`` shared heads."""
+    spine = 3 * internal + 1
+    arcs = [(v, 3 * v + j) for v in range(internal) for j in (1, 2, 3)]
+    heads = list(range(spine, spine + h))
+    arcs += candidate_pairs(rng, list(range(internal, spine)), heads)
+    return relabeled(spine + h, 0, arcs, rng)
+
+
+def hub_and_spine_dags(seed):
+    rng = random.Random(seed)
+    # at least five candidates, enough to cover up to nine heads
+    return ([hub_dag(rng, rng.randint(5, 14), rng.randint(2, 9)) for _ in range(60)]
+            + [spine_dag(rng, rng.randint(2, 7), rng.randint(2, 9)) for _ in range(60)])
+
+
 class TestGreedyExpand:
     def test_star_three_children(self):
         d = star(3)
@@ -85,15 +129,19 @@ class TestGreedyExpand:
 
     def test_output_is_maximal_t_branching_on_random_dags(self):
         for i, d in enumerate(random_dag_corpus(100, 1, 25, seed=21)):
-            for t in (1, 2, 3, 4):  # 4 is the packing pipeline's F1
+            for t in range(1, 6):  # 4 is the packing pipeline's F1
                 f = greedy_expand(d, t)
                 assert f.is_t_branching(t)
                 assert f.is_maximal(t)
-                # no internal vertex keeps an in-degree-0 out-neighbor
+                # closed, checked vertex by vertex rather than through
+                # free_heads: no leaf keeps t or more in-degree-0
+                # out-neighbors, and no internal vertex keeps any
+                assert brute_force_is_maximal(f, t)
                 assert not any(
                     f.out_degree[v] and available_heads(f, v) for v in range(d.vertex_count)
                 )
-
+                # the arrays greedy_expand writes directly are a host branching
+                assert Branching.from_parents(d, f.parent).out_degree == f.out_degree
 
     def test_matches_reference_loop_on_random_dags(self):
         for d in random_dag_corpus(150, 1, 30, seed=31):
@@ -148,6 +196,24 @@ class TestMaxExpand:
             assert not any(
                 f2.out_degree[v] and available_heads(f2, v) for v in range(d.vertex_count)
             )
+
+    def test_matches_reference_on_random_hub_and_spine_dags(self):
+        # the reference walks d.order, keeps the smallest candidate per pair
+        # and applies the matched pairs through the checked expansion
+        ties = 0
+        for d in random_dag_corpus(150, 1, 30, seed=73) + hub_and_spine_dags(79):
+            f1 = greedy_expand(d, 3)
+            f2, size = max_expand(f1)
+            ref, ref_size = reference_max_expand(f1)
+            assert (f2.parent, f2.out_degree, size) == (ref.parent, ref.out_degree, ref_size)
+            # count DAGs where a pair's smallest candidate is not its first in d.order
+            first = {}
+            for v in d.order:
+                heads = available_heads(f1, v)
+                if f1.out_degree[v] == 0 and len(heads) == 2:
+                    first.setdefault(tuple(heads), []).append(v)
+            ties += any(vs[0] != min(vs) for vs in first.values())
+        assert ties > 20
 
     def test_precondition_rejected(self):
         d = star(3)
@@ -298,6 +364,24 @@ class TestMaxLeavesPacking:
         _, rep = max_leaves_packing(d, GREEDY_PACKER)
         assert opt == 4 and rep.certificate_ok
         assert rep.values["ub_lemma5"] >= opt
+
+    def test_packer_receives_sets_in_candidate_then_members_order(self):
+        # sets arrive presorted, so the packing order's first sort meets one run
+        shuffled = 0
+        for d in random_dag_corpus(150, 3, 30, seed=47) + hub_and_spine_dags(83):
+            received = []
+
+            def spy(sets):
+                received.extend(sets)
+                return pack_greedy(sets)
+
+            max_leaves_packing(d, replace(GREEDY_PACKER, solve=spy))
+            assert received == sorted(received, key=itemgetter(2, 0))
+            # the candidates' order in d.order differs from their id order
+            rank = {v: i for i, v in enumerate(d.order)}
+            candidates = [s.candidate for s in received]
+            shuffled += candidates != sorted(candidates, key=rank.__getitem__)
+        assert shuffled > 20
 
     def test_packer_receives_ascending_sets_with_their_subsets(self):
         # the PackSet contract every Packer may rely on: members strictly
