@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import IllegalExpansion, MalformedInput, NotTBranching, PreconditionViolated
+from .errors import MalformedInput, NotTBranching, PreconditionViolated
 from .graph import Arc, Digraph
 
 
@@ -39,9 +39,9 @@ class BranchingStats:
 class Branching:
     """Mutable branching value; each phase copies the one before, then extends it.
 
-    Only the owner of a private copy mutates it: ``_expand`` checks heads
-    that come from outside, such as a packer's selection; ``greedy_expand``,
-    ``max_expand``, ``attach`` and ``verify`` write their own host arcs directly.
+    Only the owner of a private copy mutates it: ``from_arcs`` checks arcs
+    from outside; the solver phases and ``verify`` write host arcs they
+    computed, or checked where they entered, directly.
     """
 
     __slots__ = ("host", "parent", "out_degree")
@@ -101,25 +101,6 @@ class Branching:
         for v, arcs in enumerate(self.host.out_adj):
             if len(arcs) >= t and out_degree[v] == 0:
                 yield v, [u for u in arcs if parent[u] is None]
-
-    def _expand(self, v: int, heads: Sequence[int]) -> None:
-        """In-place expansion; caller must own this value."""
-        if self.out_degree[v] != 0:
-            raise IllegalExpansion(f"vertex {v} is already internal")
-        if not heads:
-            raise IllegalExpansion("expansion requires at least one head")
-        if len(set(heads)) != len(heads):
-            raise IllegalExpansion("duplicate heads in expansion")
-        # a set: a hub can have thousands of heads to check
-        out = set(self.host.out_adj[v])
-        for h in heads:
-            if h not in out:
-                raise IllegalExpansion(f"({v}, {h}) is not a host arc")
-            if self.parent[h] is not None:
-                raise IllegalExpansion(f"head {h} already has a parent")
-        for h in heads:
-            self.parent[h] = v
-        self.out_degree[v] = len(heads)
 
     @property
     def leaf_count(self) -> int:

@@ -2,7 +2,7 @@
 
 Every package error is a `LeafspanError`.  A value from outside is checked
 once, where it enters: `Digraph` checks an instance, `Branching` a parent
-array, and `require_int` a count such as ``n``.
+array, `max_leaves_packing` a packer's selection, `require_int` a count.
 """
 
 
@@ -29,7 +29,7 @@ class NotRooted(LeafspanError):
 
 
 class IllegalExpansion(LeafspanError):
-    """An expansion violates one of its preconditions."""
+    """A packer selected a set it was not offered, or two sets that overlap."""
 
 
 class PreconditionViolated(LeafspanError):

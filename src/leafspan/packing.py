@@ -97,7 +97,10 @@ def pack_exact(sets: Sequence[PackSet]) -> list[PackSet]:
 
 @dataclass(frozen=True)
 class Packer:
-    """A packing solver; its ``w3dm-<name>`` row of `certificates.PIPELINES` pins its ratio."""
+    """A packing solver; its ``w3dm-<name>`` row of `certificates.PIPELINES` pins its ratio.
+
+    ``solve`` returns pairwise-disjoint sets, each equal to one it was given.
+    """
 
     name: str
     solve: Callable[[Sequence[PackSet]], list[PackSet]]

@@ -16,16 +16,16 @@ Each pipeline returns its arborescence and a `SolveReport` certified by its
 record in `certificates.PIPELINES`, the same code `verify` rechecks with.
 Greedy expansion and attachment walk the topological order, and the read-only
 `Branching.free_heads` walks vertex ids, so identical inputs give identical outputs.
+Each phase writes its arcs into a copy; a packer's selection is checked first.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Optional
 
 from .branching import Branching, _check_t
 from .certificates import PIPELINES, Pipeline, SolveReport
-from .errors import MalformedInput, PreconditionViolated, TooLarge
+from .errors import IllegalExpansion, MalformedInput, PreconditionViolated, TooLarge
 from .graph import Digraph, topological_order
 from .matching import max_matching
 from .packing import EXACT_PACKER, Packer, PackSet
@@ -134,8 +134,9 @@ def max_leaves_packing(
 
     Greedy 4-expansions first; every remaining out-degree-0 vertex with two
     or three in-degree-0 out-neighbors contributes a set (weight = size - 1),
-    and each 3-set also contributes its three 2-subsets.  Size-3 selections
-    are applied before size-2 ones, then the attachment phase completes the
+    and each 3-set also contributes its three 2-subsets.  A selection that is
+    not pairwise-disjoint offered sets raises IllegalExpansion before any
+    write.  Size-3 selections go first, then attachment completes the
     arborescence.  The report is certified by its ``w3dm-<packer name>`` row
     of `PIPELINES`; a packer without one raises PreconditionViolated.
     """
@@ -155,13 +156,27 @@ def max_leaves_packing(
             sets += [PackSet((a, b), 1, v), PackSet((a, b, c), 2, v),
                      PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
-    selection = sorted(packer.solve(sets), key=itemgetter(2))  # by candidate
+    selection = list(packer.solve(sets))  # from outside: checked before any write
+    offered, used = set(sets), set()
+    for s in selection:
+        if s not in offered or not used.isdisjoint(s.members):
+            raise IllegalExpansion(f"packer selected {s!r:.80}, not an offered set "
+                                   f"disjoint from the others")
+        used.update(s.members)
+    del offered, used  # an entry per offered set and per head: free them before the writes
+
+    # offered members are free heads of their leaf candidate in F1, and two
+    # sets of one candidate share a head, so disjoint sets write disjoint arcs
     phases = [f1]
     for size in (3, 2):  # F2 adds the selected triples, F3 the pairs
-        phases.append(phases[-1].copy())
-        for s in selection:
-            if len(s.members) == size:
-                phases[-1]._expand(s.candidate, s.members)
+        work = phases[-1].copy()
+        parent, out_degree = work.parent, work.out_degree
+        for members, _, v in selection:
+            if len(members) == size:
+                for h in members:
+                    parent[h] = v
+                out_degree[v] = size
+        phases.append(work)
     return _finish(pipeline, phases)
 
 

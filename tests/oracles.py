@@ -5,12 +5,15 @@ exhaustive search stops being cheap.  `reference_pack_greedy` and
 `reference_pack_exact` are packers written over frozensets, so they do not
 rely on the ascending order of `PackSet.members`; the exact one also keeps
 the earlier search order and tie-break.
-`reference_greedy_expand`, `reference_max_expand` and
-`brute_force_is_maximal` look at every vertex, with no skip on the host
-out-degree.  `random_dag_corpus` and `random_edges` supply seeded inputs for
-property tests, and `add_expansion` builds branchings by hand.  `digraph_arcs` and `branching_arcs` list the arcs of a
-digraph and of a branching.  `leaves_to_independent_set` maps a solved
-`reduce_independent_set` instance back to the source graph.
+`reference_greedy_expand`, `reference_max_expand`,
+`reference_max_leaves_packing` and `brute_force_is_maximal` look at every
+vertex, with no skip on the host out-degree; those that build a branching
+build it through the checked `Branching.from_arcs`.  `random_dag_corpus`
+and `random_edges` supply seeded inputs for property tests, and
+`add_expansion` builds branchings by hand.  `digraph_arcs` and
+`branching_arcs` list the arcs of a digraph and of a branching.
+`leaves_to_independent_set` maps a solved `reduce_independent_set`
+instance back to the source graph.
 `graph_fields` compares two digraphs field by field, and `instance_v1`
 gives one as a version 1 instance object.
 """
@@ -25,11 +28,14 @@ from typing import Iterable, Sequence
 from leafspan import (
     Branching,
     Digraph,
+    Packer,
     PackSet,
     TooLarge,
     UndirectedGraphInstance,
+    attach,
     gen_random_rooted_dag,
 )
+from leafspan.certificates import PIPELINES, SolveReport
 from leafspan.graph import Arc
 from leafspan.matching import Edge, _normalize_edges, max_matching
 from leafspan.packing import EXACT_SET_LIMIT
@@ -291,13 +297,13 @@ def brute_force_is_maximal(b: Branching, t: int) -> bool:
 
 
 def reference_greedy_expand(d: Digraph, t: int) -> Branching:
-    """Greedy t-expansion as one loop over the topological order; twin of `greedy_expand`."""
+    """Greedy t-expansion over the topological order, built through `add_expansion`; twin of `greedy_expand`."""
     work = Branching(d)
     for v in d.order:
         if work.out_degree[v] == 0:
             heads = available_heads(work, v)
             if len(heads) >= t:
-                work._expand(v, heads)
+                work = add_expansion(work, v, heads)
     return work
 
 
@@ -321,11 +327,34 @@ def reference_max_expand(f: Branching) -> tuple[Branching, int]:
 
 
 def add_expansion(b: Branching, v: int, heads: Sequence[int]) -> Branching:
-    """A copy of ``b`` with every arc ``(v, h)`` added.
+    """A new branching: the arcs of ``b`` and every arc ``(v, h)``, through `Branching.from_arcs`.
 
-    Preconditions: ``v`` has out-degree 0 in ``b``, every ``(v, h)`` is a host
-    arc, and every head has in-degree 0; a violation raises IllegalExpansion.
+    ``v`` should have out-degree 0 in ``b``.  A ``(v, h)`` that is not a
+    host arc, or a head that repeats or already has a parent, raises
+    MalformedInput.
     """
-    b = b.copy()
-    b._expand(v, heads)
-    return b
+    return Branching.from_arcs(b.host, branching_arcs(b) + [(v, h) for h in heads])
+
+
+def reference_max_leaves_packing(d: Digraph, packer: Packer) -> tuple[Branching, SolveReport]:
+    """The packing pipeline built through the checked `Branching.from_arcs`; twin of `max_leaves_packing`.
+
+    Offers every leaf of the greedy 4-branching with two or three free heads
+    (and a triple's three pairs), then adds the selected triples (F2) and
+    pairs (F3) in candidate order, each phase rebuilt from its arc list.
+    """
+    f1 = reference_greedy_expand(d, 4)
+    sets = []
+    for v in range(d.vertex_count):
+        heads = tuple(available_heads(f1, v))
+        if f1.out_degree[v] == 0 and len(heads) in (2, 3):
+            sets.append(PackSet(heads, len(heads) - 1, v))
+            if len(heads) == 3:
+                sets += [PackSet(pair, 1, v) for pair in itertools.combinations(heads, 2)]
+    selection = sorted(packer.solve(sets), key=lambda s: s.candidate)
+    phases = [f1]
+    for size in (3, 2):
+        added = [(s.candidate, h) for s in selection if len(s.members) == size for h in s.members]
+        phases.append(Branching.from_arcs(d, branching_arcs(phases[-1]) + added))
+    t = attach(phases[-1])
+    return t, SolveReport.from_phases(PIPELINES[f"w3dm-{packer.name}"], [*phases, t])

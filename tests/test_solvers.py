@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ from leafspan import (
     Branching,
     EXACT_PACKER,
     GREEDY_PACKER,
+    IllegalExpansion,
     NotTBranching,
     PackSet,
     Packer,
@@ -46,6 +48,7 @@ from oracles import (
     random_dag_corpus,
     reference_greedy_expand,
     reference_max_expand,
+    reference_max_leaves_packing,
 )
 
 
@@ -66,6 +69,12 @@ def shared_head_instance():
     arcs = [(0, i) for i in range(1, 6)]
     arcs += [(4, 6), (4, 7), (5, 6), (5, 8)]
     return build_digraph(9, 0, arcs)
+
+
+def two_offered_pairs_instance():
+    """Root 0 takes 1..4 in the greedy 4-branching; leaf 1 is offered (5, 6), leaf 2 (6, 7)."""
+    return build_digraph(8, 0, [(0, 1), (0, 2), (0, 3), (0, 4),
+                                (1, 5), (1, 6), (2, 6), (2, 7)])
 
 
 def relabeled(n, root, arcs, rng):
@@ -364,6 +373,59 @@ class TestMaxLeavesPacking:
         _, rep = max_leaves_packing(d, GREEDY_PACKER)
         assert opt == 4 and rep.certificate_ok
         assert rep.values["ub_lemma5"] >= opt
+
+    @pytest.mark.parametrize("selection", [
+        [PackSet((5, 7), 1, 1)],
+        [PackSet((1, 2), 1, 0)],
+        [PackSet((5, 6), 1, 1), PackSet((6, 7), 1, 2)],
+        [PackSet((5, 6), 1, 1)] * 2,
+        [PackSet((6, 5), 1, 1)],
+        [PackSet((5, 6), 2, 1)],
+        [PackSet((5,), 0, 1)],
+    ], ids=["arc-not-in-host", "candidate-internal-in-F1", "overlapping", "same-set-twice",
+            "permuted-members", "changed-weight", "subset-never-offered"])
+    def test_selection_outside_the_offered_sets_is_refused(self, selection):
+        packer = Packer("greedy", lambda sets: selection)
+        with pytest.raises(IllegalExpansion, match="not an offered set"):
+            max_leaves_packing(two_offered_pairs_instance(), packer)
+
+    def test_equal_copy_of_an_offered_set_is_accepted(self):
+        # the check compares by value, not by identity
+        d = two_offered_pairs_instance()
+        t, rep = max_leaves_packing(d, Packer("greedy", lambda sets: [PackSet((5, 6), 1, 1)]))
+        stock, stock_rep = max_leaves_packing(d, GREEDY_PACKER)
+        assert (t.parent, rep) == (stock.parent, stock_rep)
+        assert t.parent[5] == t.parent[6] == 1 and rep.values["selected_pairs"] == 1
+
+    def test_matches_reference_on_random_hub_and_spine_dags(self, tmp_path):
+        # the reference offers sets by id, applies the selection in candidate
+        # order through Branching.from_arcs, and rebuilds every phase
+        path = tmp_path / "sol.json"
+
+        def solution_bytes(d, packer):
+            t, rep = max_leaves_packing(d, packer)
+            write_solution(path, rep, t.parent)
+            return t, rep, path.read_bytes()
+
+        sizes = collections.Counter()
+        for d in random_dag_corpus(150, 1, 30, seed=89) + hub_and_spine_dags(97):
+            # pack_exact's search grows fast on the larger spines
+            small = d.vertex_count <= 20
+            for packer in (GREEDY_PACKER, EXACT_PACKER) if small else (GREEDY_PACKER,):
+                stock = []
+
+                def spy(sets):
+                    stock.extend(packer.solve(sets))
+                    return stock
+
+                t, rep, stock_bytes = solution_bytes(d, replace(packer, solve=spy))
+                ref, ref_rep = reference_max_leaves_packing(d, packer)
+                assert (t.parent, t.out_degree, rep) == (ref.parent, ref.out_degree, ref_rep)
+                sizes.update(len(s.members) for s in stock)
+                # the writes are disjoint, so the selection's order cannot matter
+                backwards = replace(packer, solve=lambda sets: stock[::-1])
+                assert solution_bytes(d, backwards)[2] == stock_bytes
+        assert sizes[2] > 100 and sizes[3] > 10, sizes
 
     def test_packer_receives_sets_in_candidate_then_members_order(self):
         # sets arrive presorted, so the packing order's first sort meets one run
