@@ -15,11 +15,13 @@ code that produced it and rechecked by the same code that reads it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Any, Callable, Optional, Sequence
 
-from .branching import Branching
+from .branching import Branching, BranchingStats
 
 
 def two_phase_lower_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
@@ -88,16 +90,16 @@ def packing_upper_bound(
 
 @dataclass(frozen=True)
 class Pipeline:
-    """One certified algorithm, as a plain record read by `SolveReport.from_phases`.
+    """One certified algorithm, as a plain record read by `SolveReport.certify`.
 
     ``phases`` lists ``(phase name, t)``: phase ``i`` is a t-branching that
     contains phase ``i - 1``, and the last is the spanning arborescence
-    ``T``.  ``alpha`` is the packing ratio, pinned here alone (None when
+    ``("T", 1)``.  ``alpha`` is the packing ratio, pinned here alone (None when
     the pipeline packs nothing).  ``counts[i]`` names the expansions from
     phase ``i`` to ``i + 1``.  ``rule`` maps the phase statistics and alpha
     to the ``bounds`` values.  Every inequality comes from a column: the
     phase shapes, "T is a spanning arborescence", one per bound and one
-    identity per count, all checked in `SolveReport.from_phases`.
+    identity per count, all checked in `SolveReport.certify`.
     ``solve(api, d)`` runs the pipeline with the solver functions found on
     ``api`` and returns the arborescence and its `SolveReport`.
     """
@@ -116,7 +118,7 @@ class SolveReport:
     """The certificate of one run, kept as the flat report a solution file stores.
 
     ``phase[v]`` is the index (into ``pipeline.phases``) of the first phase
-    that gave ``v`` its parent; the root's entry is 0.  ``values`` holds, in
+    that gave ``v`` its parent, and 0 if none did.  ``values`` holds, in
     file order, ``N{i}``/``k{i}`` of each phase but T, the counts, the bounds
     (as `Fraction`), then ``claimed_alpha`` and ``leaf_weight`` if they apply.
     ``inequalities`` names every check the certificate makes.
@@ -129,27 +131,31 @@ class SolveReport:
     inequalities: dict[str, bool]
 
     @classmethod
-    def from_phases(cls, pipeline: Pipeline, phases: Sequence[Branching]) -> "SolveReport":
-        """Report on the branchings of each phase, the arborescence last.
+    def certify(cls, pipeline: Pipeline, tree: Branching, phase: Sequence[int]) -> "SolveReport":
+        """Report on ``tree`` and its ``phase`` array, entries in ``range(len(pipeline.phases))``.
 
-        The bounds hold only when each phase is a t-branching for its t > 1
-        and the last spans the host, so those are inequalities too.  Each
-        expansion from phase ``i`` to ``i + 1`` costs one leaf, so count
-        ``i`` is the leaves lost.  With t of phase ``i + 1``, the arcs added
-        less t * count sum (children - t) over expanded leaves plus the arcs
-        under already-internal vertices: "t * count == arcs added" holds
-        exactly when phase ``i + 1`` adds only t-expansions of leaves.
+        Phase ``i`` is the prefix of ``tree`` made of the arcs into vertices of
+        index at most ``i``; one out-degree count, extended phase by phase,
+        gives its arcs, leaves and k (internal vertices it leaves parentless),
+        and N = arcs + k.  The bounds need each phase to be a t-branching for
+        its t > 1 and the last to span the host, so those are inequalities too.
+        Each expansion costs one leaf, so count ``i`` is the leaves lost from
+        phase ``i`` to ``i + 1``; with that phase's t, "t * count == arcs
+        added" holds exactly when it adds only t-expansions of leaves.
         """
-        stats = [b.stats() for b in phases]
-        tree = phases[-1]
-        phase = [0] * tree.host.vertex_count
-        for i in reversed(range(len(phases))):
-            phase = [i if p is not None else q for p, q in zip(phases[i].parent, phase)]
-        values: dict[str, Any] = {}
-        for i, s in enumerate(stats[:-1], start=1):
-            values[f"N{i}"], values[f"k{i}"] = s.N, s.k
-        inequalities = {f"{name} is a {t}-branching": b.is_t_branching(t)
-                        for (name, t), b in zip(pipeline.phases, phases) if t > 1}
+        parent, n = tree.parent, tree.host.vertex_count
+        phase = [i if p is not None else 0 for p, i in zip(parent, phase)]
+        out: Counter[int] = Counter()  # out-degrees in the prefix
+        stats, values, inequalities = [], {}, {}
+        for i, (name, t) in enumerate(pipeline.phases[:-1]):
+            out.update(compress(parent, map(i.__eq__, phase)))  # the parents of index-i vertices,
+            out.pop(None, None)  # less those of vertices without one
+            k = sum(1 for u in out if parent[u] is None or phase[u] > i)
+            stats.append(BranchingStats(sum(out.values()) + k, k, n - len(out)))
+            values[f"N{i + 1}"], values[f"k{i + 1}"] = stats[-1].N, k
+            if t > 1:
+                inequalities[f"{name} is a {t}-branching"] = min(out.values(), default=t) >= t
+        stats.append(tree.stats())  # T, the last phase: its t is 1
         inequalities["T is a spanning arborescence"] = tree.is_spanning_arborescence()
         identities = {}
         for i, name in enumerate(pipeline.counts):
@@ -203,7 +209,7 @@ def _packing(s, alpha):
 def _solve_exact(api, d):
     weighted = d.vertex_weights is not None
     _, t = api.exact_max_leaves(d, "leaf_weight" if weighted else "leaves")
-    return t, SolveReport.from_phases(PIPELINES["exact"], [t])
+    return t, SolveReport.certify(PIPELINES["exact"], t, [0] * d.vertex_count)
 
 
 _PACKING_PHASES = (("F1", 4), ("F2", 3), ("F3", 2), ("T", 1))

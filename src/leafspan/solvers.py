@@ -112,7 +112,10 @@ def max_expand(f: Branching) -> tuple[Branching, int]:
 
 def _finish(pipeline: Pipeline, phases: list[Branching]) -> tuple[Branching, SolveReport]:
     t = attach(phases[-1])
-    return t, SolveReport.from_phases(pipeline, [*phases, t])
+    phase = [len(phases)] * t.host.vertex_count  # T's index; certify zeroes the root's
+    for i in reversed(range(len(phases))):
+        phase = [i if p is not None else q for p, q in zip(phases[i].parent, phase)]
+    return t, SolveReport.certify(pipeline, t, phase)
 
 
 def max_leaves(d: Digraph) -> tuple[Branching, SolveReport]:
@@ -156,13 +159,18 @@ def max_leaves_packing(
             sets += [PackSet((a, b), 1, v), PackSet((a, b, c), 2, v),
                      PackSet((a, c), 1, v), PackSet((b, c), 1, v)]
 
-    selection = list(packer.solve(sets))  # from outside: checked before any write
+    selection = packer.solve(sets)  # from outside: checked before any write
     offered, used = set(sets), set()
-    for s in selection:
-        if s not in offered or not used.isdisjoint(s.members):
-            raise IllegalExpansion(f"packer selected {s!r:.80}, not an offered set "
-                                   f"disjoint from the others")
-        used.update(s.members)
+    try:
+        selection = list(selection)
+        for s in selection:
+            if s not in offered or not used.isdisjoint(s.members):
+                raise IllegalExpansion(f"packer selected {s!r:.80}, not an offered set "
+                                       f"disjoint from the others")
+            used.update(s.members)
+    except TypeError:  # not iterable, or an unhashable set: nothing offered is either
+        raise IllegalExpansion(f"packer returned {selection!r:.80}, not an offered set "
+                               f"or an iterable of them") from None
     del offered, used  # an entry per offered set and per head: free them before the writes
 
     # offered members are free heads of their leaf candidate in F1, and two

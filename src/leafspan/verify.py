@@ -2,19 +2,16 @@
 
 A solution file (format version 2) holds the parent array of the spanning
 arborescence, a per-vertex ``phase`` index into its pipeline's phase names,
-and the solver's report.  Phase ``i`` of the run is the prefix of the
-arborescence made of the arcs into vertices whose index is at most ``i``.
-Verification trusts only the instance and those two arrays: it rebuilds
-every phase, each a copy of the one before plus the arcs into its own
-vertices, then rebuilds the phase array and the report from the phases
-with the code the solver used (`SolveReport.from_phases` and the pipeline's
-record in `certificates.PIPELINES`), and compares them with the recorded
-ones, the phase array entry by entry and the report key by key, counts such
-as ``selected_triples`` included: no field of the report is taken on the
-solver's word, and a report key the recomputation does not produce is named
-as a problem too.  That each phase is a t-branching for its pipeline's t and
-that the parent array spans the instance are certificate inequalities, so
-`solve` and `verify` check one list.
+and the solver's report.  Verification trusts only the instance and those
+two arrays: it validates the parent array, recomputes the phase array and
+the report from the two arrays with the code the solver used
+(`SolveReport.certify` and the pipeline's record in
+`certificates.PIPELINES`), building no phase, and compares them with the
+recorded ones entry by entry and key by key, counts such as
+``selected_triples`` included.  No report field is taken on the solver's
+word, and a report key the recomputation does not produce is named too.
+The phase shapes and spanning are certificate inequalities, so `solve` and
+`verify` check one list.
 """
 
 from __future__ import annotations
@@ -85,17 +82,7 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         problems.append(f"phase must be {n} indices in [0, {count})")
         return problems
 
-    # phase i: phase i - 1 plus t's arcs into index-i vertices, checked by from_parents
-    phases: list[Branching] = []
-    for i in range(count - 1):
-        f = phases[-1].copy() if phases else Branching(d)
-        for v, p in enumerate(t.parent):
-            if p is not None and phase[v] == i:
-                f.parent[v] = p
-                f.out_degree[p] += 1
-        phases.append(f)
-    phases.append(t)
-    expected = SolveReport.from_phases(pipeline, phases)
+    expected = SolveReport.certify(pipeline, t, phase)
     if phase != expected.phase:
         v = next(v for v in range(n) if phase[v] != expected.phase[v])
         problems.append(f"phase[{v}] is {phase[v]}, recomputation gives {expected.phase[v]}")

@@ -8,10 +8,13 @@ the earlier search order and tie-break.
 `reference_greedy_expand`, `reference_max_expand`,
 `reference_max_leaves_packing` and `brute_force_is_maximal` look at every
 vertex, with no skip on the host out-degree; those that build a branching
-build it through the checked `Branching.from_arcs`.  `random_dag_corpus`
-and `random_edges` supply seeded inputs for property tests, and
-`add_expansion` builds branchings by hand.  `digraph_arcs` and
-`branching_arcs` list the arcs of a digraph and of a branching.
+build it through the checked `Branching.from_arcs`.  `reference_certify`
+reports on one branching per phase (the certificate path before it read the
+two arrays), and `phase_prefixes` builds those branchings from a parent and
+a phase array.  `random_dag_corpus` and `random_edges` supply seeded inputs
+for property tests, and `add_expansion` builds branchings by hand.
+`digraph_arcs` and `branching_arcs` list the arcs of a digraph and of a
+branching.
 `leaves_to_independent_set` maps a solved `reduce_independent_set`
 instance back to the source graph.
 `graph_fields` compares two digraphs field by field, and `instance_v1`
@@ -35,7 +38,7 @@ from leafspan import (
     attach,
     gen_random_rooted_dag,
 )
-from leafspan.certificates import PIPELINES, SolveReport
+from leafspan.certificates import PIPELINES, Pipeline, SolveReport
 from leafspan.graph import Arc
 from leafspan.matching import Edge, _normalize_edges, max_matching
 from leafspan.packing import EXACT_SET_LIMIT
@@ -357,4 +360,49 @@ def reference_max_leaves_packing(d: Digraph, packer: Packer) -> tuple[Branching,
         added = [(s.candidate, h) for s in selection if len(s.members) == size for h in s.members]
         phases.append(Branching.from_arcs(d, branching_arcs(phases[-1]) + added))
     t = attach(phases[-1])
-    return t, SolveReport.from_phases(PIPELINES[f"w3dm-{packer.name}"], [*phases, t])
+    return t, reference_certify(PIPELINES[f"w3dm-{packer.name}"], [*phases, t])
+
+
+def phase_prefixes(d: Digraph, parent: Sequence, phase: Sequence[int],
+                   count: int) -> list[Branching]:
+    """The first ``count`` phases, each through `Branching.from_parents`:
+    phase i keeps the arcs into the vertices of index <= i."""
+    return [Branching.from_parents(d, [p if j <= i else None for p, j in zip(parent, phase)])
+            for i in range(count)]
+
+
+def reference_certify(pipeline: Pipeline, phases: Sequence[Branching]) -> SolveReport:
+    """The report on one branching per phase, the arborescence last; twin of `SolveReport.certify`.
+
+    Calls `Branching.stats` and `Branching.is_t_branching` on every phase and
+    rebuilds the phase array from the branchings, one pass per phase.
+    """
+    stats = [b.stats() for b in phases]
+    tree = phases[-1]
+    phase = [0] * tree.host.vertex_count
+    for i in reversed(range(len(phases))):
+        phase = [i if p is not None else q for p, q in zip(phases[i].parent, phase)]
+    values: dict = {}
+    for i, s in enumerate(stats[:-1], start=1):
+        values[f"N{i}"], values[f"k{i}"] = s.N, s.k
+    inequalities = {f"{name} is a {t}-branching": b.is_t_branching(t)
+                    for (name, t), b in zip(pipeline.phases, phases) if t > 1}
+    inequalities["T is a spanning arborescence"] = tree.is_spanning_arborescence()
+    identities = {}
+    for i, name in enumerate(pipeline.counts):
+        a, b, t = stats[i], stats[i + 1], pipeline.phases[i + 1][1]
+        values[name] = a.leaves - b.leaves
+        identity = f"{t} * {name} == (N{i + 2} - k{i + 2}) - (N{i + 1} - k{i + 1})"
+        identities[identity] = t * values[name] == (b.N - b.k) - (a.N - a.k)
+    leaves = stats[-1].leaves
+    for b, v in zip(pipeline.bounds, pipeline.rule(stats, pipeline.alpha)):
+        values[b] = v
+        if b.startswith("lb_"):
+            inequalities[f"leaf_count >= {b}"] = leaves >= v
+        else:
+            inequalities[f"{b} >= leaf_count"] = v >= leaves
+    if pipeline.alpha is not None:
+        values["claimed_alpha"] = pipeline.alpha
+    if tree.host.vertex_weights is not None:
+        values["leaf_weight"] = tree.leaf_weight()
+    return SolveReport(pipeline, phase, leaves, values, {**inequalities, **identities})

@@ -14,13 +14,14 @@ from leafspan import (
     greedy_expand,
     max_expand,
 )
-from leafspan.certificates import PIPELINES
+from leafspan.certificates import PIPELINES, SolveReport
 from leafspan.verify import verify_solution
 from oracles import (
     add_expansion,
     available_heads,
     branching_arcs,
     brute_force_is_maximal,
+    phase_prefixes,
     random_dag_corpus,
 )
 
@@ -219,16 +220,18 @@ def test_stats_match_independent_recount_without_arcs():
 
 
 def test_stats_match_independent_recount_on_every_phase_solved_and_verified(monkeypatch):
-    # every branching the four approximate pipelines report on, and every
-    # phase prefix verify rebuilds from the solution, goes through stats()
-    seen = []
-    stats = Branching.stats
+    # every report the four approximate pipelines and verify certify: each
+    # N{i}/k{i}, count, shape and leaf count equals a recount on the phase
+    # prefixes built from the two arrays with Branching.from_parents
+    certified = []
+    certify = SolveReport.certify
 
-    def recorded_stats(b):
-        seen.append(b.copy())
-        return stats(b)
+    def recorded_certify(pipeline, tree, phase):
+        report = certify(pipeline, tree, phase)
+        certified.append((tree.host, list(tree.parent), list(phase), report))
+        return report
 
-    monkeypatch.setattr(Branching, "stats", recorded_stats)
+    monkeypatch.setattr(SolveReport, "certify", staticmethod(recorded_certify))
     for d in random_dag_corpus(30, 1, 40, seed=23):
         for name in ("maxleaves", "expansion2", "w3dm-greedy", "w3dm-exact"):
             pipeline = PIPELINES[name]
@@ -240,11 +243,23 @@ def test_stats_match_independent_recount_on_every_phase_solved_and_verified(monk
                         "leaf_count": report.leaf_count, "report": report.to_dict()}
             assert verify_solution(d, solution) == []
     monkeypatch.undo()
-    assert len(seen) > 200
-    for b in seen:
-        assert_stats_match_recount(b)
-        for t in range(1, 6):
-            assert b.is_t_branching(t) == all(d == 0 or d >= t for d in b.out_degree)
+    assert len(certified) > 200
+    for d, parent, phase, report in certified:
+        pipeline = report.pipeline
+        prefixes = phase_prefixes(d, parent, phase, len(pipeline.phases))
+        recounts = [recount_stats(b) for b in prefixes]
+        for i, r in enumerate(recounts[:-1], start=1):
+            assert (report.values[f"N{i}"], report.values[f"k{i}"]) == (r["N"], r["k"])
+        for i, name in enumerate(pipeline.counts):
+            assert report.values[name] == recounts[i]["leaves"] - recounts[i + 1]["leaves"]
+        assert report.leaf_count == recounts[-1]["leaves"]
+        for (name, t), b in zip(pipeline.phases, prefixes):
+            assert_stats_match_recount(b)
+            if t > 1:
+                assert report.inequalities[f"{name} is a {t}-branching"] == all(
+                    o == 0 or o >= t for o in b.out_degree)
+            for s in range(1, 6):
+                assert b.is_t_branching(s) == all(o == 0 or o >= s for o in b.out_degree)
 
 
 @pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1),

@@ -15,6 +15,7 @@ from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
+from oracles import phase_prefixes
 
 
 def run(*argv):
@@ -356,19 +357,12 @@ def test_forged_matching_size_fails_verify(tmp_path, capsys, value):
     assert err == f"verify: report matching_size is {value!r}, recomputation gives 1\n"
 
 
-def prefixes(inst, parent, phase, count):
-    """The first ``count`` phases: phase i keeps the arcs into the vertices of index <= i."""
-    d = read_instance(inst)
-    return [Branching.from_parents(d, [p if j <= i else None for p, j in zip(parent, phase)])
-            for i in range(count)]
-
-
 def recertified(inst, obj, algo):
     """``obj`` as a forger would rewrite it: the phase array and the report
     recomputed from its arrays, with certificate_ok forged true."""
-    pipeline = PIPELINES[algo]
-    phases = prefixes(inst, obj["parent"], obj["phase"], len(pipeline.phases))
-    report = SolveReport.from_phases(pipeline, phases)
+    d = read_instance(inst)
+    report = SolveReport.certify(PIPELINES[algo], Branching.from_parents(d, obj["parent"]),
+                                 obj["phase"])
     return {**obj, "phase": report.phase, "leaf_count": report.leaf_count,
             "report": {**report.to_dict(), "certificate_ok": True}}
 
@@ -420,9 +414,10 @@ def test_expansion_moved_into_the_pairs_phase_fails_verify(
     assert moved == children and len({phase[v] for v in moved}) == 1
     for v in moved:
         phase[v] += 1
-    phases = prefixes(inst, obj["parent"], phase, len(pipeline.phases))
+    d = read_instance(inst)
+    phases = phase_prefixes(d, obj["parent"], phase, len(pipeline.phases))
     assert all(f.is_t_branching(t_min) for f, (_, t_min) in zip(phases, pipeline.phases))
-    obj["report"] = {**SolveReport.from_phases(pipeline, phases).to_dict(),
+    obj["report"] = {**SolveReport.certify(pipeline, phases[-1], phase).to_dict(),
                      "certificate_ok": True}
     err = verify_diagnostics(capsys, inst, sol, obj)
     assert err.splitlines() == ["verify: report certificate_ok is True, recomputation gives False",

@@ -45,7 +45,9 @@ from oracles import (
     brute_force_is_maximal,
     brute_force_max_leaves,
     digraph_arcs,
+    phase_prefixes,
     random_dag_corpus,
+    reference_certify,
     reference_greedy_expand,
     reference_max_expand,
     reference_max_leaves_packing,
@@ -382,8 +384,11 @@ class TestMaxLeavesPacking:
         [PackSet((6, 5), 1, 1)],
         [PackSet((5, 6), 2, 1)],
         [PackSet((5,), 0, 1)],
+        None,
+        [PackSet([5, 6], 1, 1)],
     ], ids=["arc-not-in-host", "candidate-internal-in-F1", "overlapping", "same-set-twice",
-            "permuted-members", "changed-weight", "subset-never-offered"])
+            "permuted-members", "changed-weight", "subset-never-offered", "not-iterable",
+            "unhashable-set"])
     def test_selection_outside_the_offered_sets_is_refused(self, selection):
         packer = Packer("greedy", lambda sets: selection)
         with pytest.raises(IllegalExpansion, match="not an offered set"):
@@ -564,37 +569,76 @@ class TestAttach:
 
 
 def test_solve_and_verify_each_build_their_report_once(monkeypatch):
-    # one path from phases to a certified report: every pipeline and verify
-    # call SolveReport.from_phases once, each with its own arborescence as
-    # the last phase (verify's is the tree it validated, not a copy)
+    # one certificate path over the two arrays: every pipeline and verify
+    # call SolveReport.certify once, each with its own arborescence (verify's
+    # is the tree it validated) and verify with the file's own phase array
     calls, trees = [], []
-    from_phases, from_parents = SolveReport.from_phases, Branching.from_parents
+    certify, from_parents = SolveReport.certify, Branching.from_parents
 
-    def spy_from_phases(pipeline, phases):
-        calls.append(phases)
-        return from_phases(pipeline, phases)
+    def spy_certify(pipeline, tree, phase):
+        calls.append((tree, phase, certify(pipeline, tree, phase)))
+        return calls[-1][2]
 
     def spy_from_parents(host, parents):
         trees.append(from_parents(host, parents))
         return trees[-1]
 
-    monkeypatch.setattr(SolveReport, "from_phases", staticmethod(spy_from_phases))
+    monkeypatch.setattr(SolveReport, "certify", staticmethod(spy_certify))
     monkeypatch.setattr(Branching, "from_parents", staticmethod(spy_from_parents))
     for d in random_dag_corpus(40, 1, 12, seed=59):
         for pipeline in PIPELINES.values():
             calls.clear()
             t, report = pipeline.solve(leafspan.cli, d)
             assert report.pipeline is pipeline
-            assert len(calls) == 1 and calls[0][-1] is t
-            solved = calls.pop()
-            solution = {"parent": t.parent, "phase": report.phase,
+            assert len(calls) == 1 and calls[0][0] is t and calls[0][2] is report
+            _, solved_phase, _ = calls.pop()
+            solution = {"parent": t.parent, "phase": list(report.phase),
                         "leaf_count": report.leaf_count, "report": report.to_dict()}
             assert verify_solution(d, solution) == []
-            assert len(calls) == 1 and calls[0][-1] is trees[-1]
-            assert len(calls[0]) == len(pipeline.phases)
-            # verify rebuilds the very phases the solver built
-            assert [(f.parent, f.out_degree) for f in calls[0]] == [
-                (f.parent, f.out_degree) for f in solved]
+            assert len(calls) == 1
+            tree, phase, verified = calls[0]
+            assert tree is trees[-1] and phase is solution["phase"]
+            # verify certifies the arrays the solver certified: the same tree,
+            # and the same index for every vertex with a parent
+            assert (tree.parent, tree.out_degree) == (t.parent, t.out_degree)
+            assert [j for p, j in zip(t.parent, phase) if p is not None] == [
+                j for p, j in zip(t.parent, solved_phase) if p is not None]
+            assert verified == report
+
+
+def test_certify_matches_the_reference_on_solved_and_forged_arrays():
+    # the two arrays give the report of one branching per phase, item by item
+    # and in the same key order: on solved files, and on forged phase arrays
+    # (random indices, a nonzero root entry) and a forest, which between them
+    # fail shapes, identities and spanning
+    rng = random.Random(67)
+    failed = collections.Counter()
+    for i, d in enumerate(random_dag_corpus(40, 2, 16, seed=71)):
+        if i % 2:
+            d = build_digraph(d.vertex_count, d.root, digraph_arcs(d),
+                              [rng.randint(1, 5) for _ in range(d.vertex_count)])
+        for pipeline in PIPELINES.values():
+            t, report = pipeline.solve(leafspan.cli, d)
+            count = len(pipeline.phases)
+            forest = list(t.parent)
+            forest[rng.choice([v for v, p in enumerate(forest) if p is not None])] = None
+            root_forged = list(report.phase)
+            root_forged[d.root] = count - 1
+            for parent, phase in [(t.parent, report.phase),
+                                  (t.parent, [rng.randrange(count) for _ in t.parent]),
+                                  (t.parent, root_forged),
+                                  (forest, report.phase)]:
+                ours = SolveReport.certify(pipeline, Branching.from_parents(d, parent), phase)
+                ref = reference_certify(pipeline, phase_prefixes(d, parent, phase, count))
+                assert ours.phase == ref.phase and ours.leaf_count == ref.leaf_count
+                assert list(ours.values.items()) == list(ref.values.items())
+                assert list(ours.inequalities.items()) == list(ref.inequalities.items())
+                failed.update(name for name, holds in ours.inequalities.items() if not holds)
+    shapes = {f"{name} is a {t}-branching" for p in PIPELINES.values() for name, t in p.phases
+              if t > 1}
+    assert shapes | {"T is a spanning arborescence"} <= set(failed), failed
+    # the identities of matching_size, selected_triples and selected_pairs
+    assert len([name for name in failed if "==" in name]) == 3, failed
 
 
 def test_shape_checks_start_the_inequalities_and_skip_t_one():
