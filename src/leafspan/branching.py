@@ -9,6 +9,7 @@ doubles as a validator against counter drift.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -56,15 +57,21 @@ class Branching:
     def from_arcs(cls, host: Digraph, arcs: Iterable[Arc]) -> "Branching":
         """Rebuild a branching from an explicit arc list.
 
+        Each arc is looked up in its tail's ascending head list, scanned when
+        short and bisected when long, so no in-list of the host is built.
+
         Raises MalformedInput if ``arcs`` is not iterable, an arc is not a
         pair in the host, or some vertex would get two parents.
         """
         b = cls(host)
-        n = host.vertex_count
+        n, out_adj = host.vertex_count, host.out_adj
         try:
             for u, v in arcs:
-                # O(in-degree); the range check stops a negative v indexing from the end
-                if not (type(u) is int and type(v) is int and 0 <= v < n and u in host.in_adj[v]):
+                # the range check stops a negative u indexing from the end, a head
+                # in out_adj[u] is an id in range, and bisection stops at the last head
+                heads = out_adj[u] if type(u) is int and 0 <= u < n else ()
+                if type(v) is not int or (v not in heads if len(heads) < 16 else
+                                          heads[bisect_left(heads, v, 0, len(heads) - 1)] != v):
                     raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
                 if b.parent[v] is not None:
                     raise MalformedInput(f"vertex {v} has two parents")

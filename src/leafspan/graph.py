@@ -5,17 +5,17 @@ lists: ``out[u]`` holds the heads of the arcs out of ``u``, strictly
 ascending.  `Digraph` is the one validator.  It checks the shape of ``out``
 and the arc count before any list of length n exists, then walks the tails
 in ascending order once: the walk tests every head (an integer id in range,
-above the one before it, not the tail) and files it under its head too, so
-``in_adj`` comes out sorted with no sort of its own.  When the walk finds a
-fault, the one reported is the first head that is not an id in range, else
-the first self-loop, else the first list out of order, where a head equal to
-the one before it is a duplicate arc.
+above the one before it, not the tail) and counts it at its head.  When the
+walk finds a fault, the one reported is the first head that is not an id in
+range, else the first self-loop, else the first list out of order, where a
+head equal to the one before it is a duplicate arc.
 `build_digraph` takes arcs instead: it checks each one, files it under its
 tail, sorts each list and hands them to the same validator.
 
 The graph must be simple, acyclic and rooted; the Kahn pass that checks this
 computes the smallest-id-first topological order, which every solver phase
-then reuses.  Instances are immutable and safe to share.
+then reuses.  ``out_adj`` is the only stored copy of the arcs; ``in_adj`` is
+derived on first use into a cache written once, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -78,16 +78,16 @@ class Digraph:
     Attributes:
         vertex_count: number of vertices ``n``.
         root: vertex from which every vertex is reachable.
-        out_adj / in_adj: per-vertex adjacency tuples in ascending order;
-            the only stored copy of the arcs.  ``in_adj`` is derived from
-            ``out_adj``, never sorted on its own.
+        out_adj / in_adj: per-vertex adjacency tuples in ascending order.
+            ``out_adj`` is the only stored copy of the arcs; the read-only
+            ``in_adj`` is filed from it on first access, with no sort.
         vertex_weights: optional per-vertex nonnegative integer weights,
             used only by the vertex-weighted leaf objective.
         order: topological order; among ready vertices the smallest id
             comes first, so the root leads.
     """
 
-    __slots__ = ("vertex_count", "root", "out_adj", "in_adj", "vertex_weights", "order")
+    __slots__ = ("vertex_count", "root", "out_adj", "_in_adj", "vertex_weights", "order")
 
     def __init__(
         self,
@@ -110,17 +110,15 @@ class Digraph:
             raise MalformedInput(f"weights {weights!r:.20} must be iterable") from None
         _check_size(vertex_count, sum(map(len, out)), weights)
 
-        # the one walk over ascending tails: each head list is checked as it
-        # is filed under its heads, so in_adj needs no sort
-        n = vertex_count
-        in_adj: list[list[int]] = [[] for _ in range(n)]
+        # the one walk over ascending tails checks each head and counts the arc at it
+        n, indeg = vertex_count, [0] * vertex_count
         try:
             for u, heads in enumerate(out):
                 prev = -1
                 for v in heads:
                     if not prev < v < n or v == u or type(v) is not int:
                         raise _head_fault(n, out)
-                    in_adj[v].append(u)
+                    indeg[v] += 1
                     prev = v
         except TypeError:  # a head that does not compare with an integer
             raise _head_fault(n, out) from None
@@ -131,21 +129,30 @@ class Digraph:
         # generator by realloc, so the size-n tuples freed with each graph
         # would pile up on its tuple free lists (about 3 MB) until a full gc
         self.out_adj = tuple(list(map(tuple, out)))
-        self.in_adj = tuple(list(map(tuple, in_adj)))
+        self._in_adj: Optional[tuple[tuple[int, ...], ...]] = None
         self.vertex_weights = tuple(weights) if weights is not None else None
 
-        self.order = self._validated_order()
+        self.order = self._validated_order(indeg)
 
-    def _validated_order(self) -> tuple[int, ...]:
-        """Smallest-id-first Kahn pass; raises on a cycle or a second source.
+    @property
+    def in_adj(self) -> tuple[tuple[int, ...], ...]:
+        """The tails into each vertex, ascending; built on first access, then cached."""
+        if self._in_adj is None:
+            in_adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+            for u, heads in enumerate(self.out_adj):
+                for v in heads:
+                    in_adj[v].append(u)
+            self._in_adj = tuple(list(map(tuple, in_adj)))
+        return self._in_adj
+
+    def _validated_order(self, indeg: list[int]) -> tuple[int, ...]:
+        """Smallest-id-first Kahn pass, consuming ``indeg``; raises on a cycle or a second source.
 
         On a DAG every vertex is reachable from some in-degree-0 vertex, so
         the graph is rooted iff the root is the only one.
         """
-        n = self.vertex_count
-        out_adj = self.out_adj
+        n, out_adj = self.vertex_count, self.out_adj
         heappop, heappush = heapq.heappop, heapq.heappush
-        indeg = list(map(len, self.in_adj))
         sources = [v for v in range(n) if indeg[v] == 0]
         ready = list(sources)  # ascending, so already a heap
         order: list[int] = []

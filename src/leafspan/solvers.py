@@ -62,19 +62,25 @@ def attach(f: Branching) -> Branching:
     Processed in topological order; an already-internal in-neighbor is
     preferred (it costs no leaf), ties broken by smallest id.  The result is
     always a spanning arborescence, even when earlier phases left vertices
-    whose in-neighbors are all internal.
+    whose in-neighbors are all internal.  In-neighbors are gathered only for
+    the vertices to attach, in one pass over the tails before any write.
     """
-    d = f.host
     work = f.copy()
-    for v in topological_order(d):
-        if v != d.root and work.parent[v] is None:
-            candidates = d.in_adj[v]
-            pick = next(
-                (p for p in candidates if work.out_degree[p] > 0), candidates[0]
-            )
-            # an in-neighbor of a parentless v: the arc needs no check
-            work.parent[v] = pick
-            work.out_degree[pick] += 1
+    d, parent, out_degree = f.host, work.parent, work.out_degree
+    # the root has no in-arcs; the tails come ascending, as in d.in_adj
+    tails = {v: [] for v, p in enumerate(parent) if p is None and v != d.root}
+    if tails:
+        for u, heads in enumerate(d.out_adj):
+            for v in heads:
+                if parent[v] is None:
+                    tails[v].append(u)
+        for v in topological_order(d):
+            candidates = tails.get(v)
+            if candidates:
+                pick = next((p for p in candidates if out_degree[p] > 0), candidates[0])
+                # an in-neighbor of a parentless v: the arc needs no check
+                parent[v] = pick
+                out_degree[pick] += 1
     return work
 
 
@@ -191,11 +197,11 @@ def max_leaves_packing(
 def _exact_guard(d: Digraph) -> None:
     if d.vertex_count <= EXACT_SMALL_N:
         return
-    product = 1
+    in_adj, product = d.in_adj, 1
     for v in range(d.vertex_count):
         if v == d.root:
             continue
-        product *= len(d.in_adj[v])
+        product *= len(in_adj[v])
         if product > EXACT_PRODUCT_LIMIT:
             raise TooLarge(
                 f"search space exceeds {EXACT_PRODUCT_LIMIT} parent functions"
@@ -226,15 +232,16 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
         weight = [1] * n
     total = sum(weight)
 
+    in_adj = d.in_adj  # built on first use: read once, not per search node
     order = [v for v in topological_order(d) if v != d.root]
-    forced = [v for v in order if len(d.in_adj[v]) == 1]
-    choices = [v for v in order if len(d.in_adj[v]) > 1]
+    forced = [v for v in order if len(in_adj[v]) == 1]
+    choices = [v for v in order if len(in_adj[v]) > 1]
 
     parent: list[Optional[int]] = [None] * n
     use_count = [0] * n
     base_cost = 0
     for v in forced:
-        p = d.in_adj[v][0]
+        p = in_adj[v][0]
         parent[v] = p
         if use_count[p] == 0:
             base_cost += weight[p]
@@ -252,7 +259,7 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
             best_parent = list(parent)
             return
         v = choices[i]
-        options = d.in_adj[v]
+        options = in_adj[v]
         # free (already-internal) parents first, then ascending id
         for p in sorted(options, key=lambda q: (use_count[q] == 0, q)):
             added = weight[p] if use_count[p] == 0 else 0

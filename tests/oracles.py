@@ -8,7 +8,8 @@ the earlier search order and tie-break.
 `reference_greedy_expand`, `reference_max_expand`,
 `reference_max_leaves_packing` and `brute_force_is_maximal` look at every
 vertex, with no skip on the host out-degree; those that build a branching
-build it through the checked `Branching.from_arcs`.  `reference_certify`
+build it through the checked `Branching.from_arcs`.  `reference_attach`
+reads every in-list of the host's full ``in_adj``.  `reference_certify`
 reports on one branching per phase (the certificate path before it read the
 two arrays), and `phase_prefixes` builds those branchings from a parent and
 a phase array.  `random_dag_corpus` and `random_edges` supply seeded inputs
@@ -327,6 +328,23 @@ def reference_max_expand(f: Branching) -> tuple[Branching, int]:
     for pair in matched:
         f = add_expansion(f, edge_for_pair[pair], pair)
     return f, len(matched)
+
+
+def reference_attach(f: Branching) -> Branching:
+    """Attachment over the host's full ``in_adj``; twin of `attach`.
+
+    Walks ``d.order`` and gives each parentless non-root vertex its first
+    internal in-neighbor, else its smallest one.
+    """
+    d = f.host
+    work = f.copy()
+    for v in d.order:
+        if v != d.root and work.parent[v] is None:
+            candidates = d.in_adj[v]
+            pick = next((p for p in candidates if work.out_degree[p] > 0), candidates[0])
+            work.parent[v] = pick
+            work.out_degree[pick] += 1
+    return work
 
 
 def add_expansion(b: Branching, v: int, heads: Sequence[int]) -> Branching:

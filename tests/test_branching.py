@@ -265,11 +265,23 @@ def test_stats_match_independent_recount_on_every_phase_solved_and_verified(monk
 @pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1),
                                  (False, 1), (0.0, 2), (0, 2.0), (0, True)])
 def test_from_arcs_rejects_arcs_outside_the_host(arc):
-    # -1 must not index in_adj from the end: (0, -1) would match host arc (0, 2);
-    # False and 0.0 compare equal to the tail 0 but are not vertex ids
+    # -3 must not index out_adj from the end: out_adj[-3] is out_adj[0], so
+    # (-3, 1) would match host arc (0, 1); False and 0.0 compare equal to the
+    # tail 0 but are not vertex ids
     d = build_digraph(3, 0, [(0, 1), (0, 2)])
     with pytest.raises(MalformedInput, match="not in host"):
         Branching.from_arcs(d, [arc])
+
+
+@pytest.mark.parametrize("v", [-1, 0, 2, 20, 40, 41])
+def test_from_arcs_rejects_misses_in_a_bisected_head_list(v):
+    # root 0 has the 20 heads 1, 3, ..., 39, enough for its list to be
+    # bisected: a miss before the first head, between two or after the last
+    odd = range(1, 41, 2)
+    d = build_digraph(41, 0, [(0, h) for h in odd] + [(h, h + 1) for h in odd])
+    with pytest.raises(MalformedInput, match="not in host"):
+        Branching.from_arcs(d, [(0, v)])
+    assert Branching.from_arcs(d, [(0, h) for h in odd]).out_degree[0] == 20
 
 
 def test_from_arcs_rejects_a_second_parent():

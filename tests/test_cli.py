@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leafspan.cli
-from leafspan import Branching, build_digraph, read_instance
+from leafspan import Branching, Digraph, build_digraph, read_instance, write_instance
 from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, main
 from leafspan.solvers import max_leaves
@@ -573,6 +573,33 @@ def test_library_verify_rejects_a_solution_that_is_not_a_dict(solution):
     d = build_digraph(2, 0, [(0, 1)])
     assert verify_solution(d, solution) == [
         f"solution must be an object, got {type(solution).__name__}"]
+
+
+@pytest.mark.parametrize("shape", ["random", "hub"])
+def test_solve_and_verify_never_build_in_adj(tmp_path, monkeypatch, shape):
+    # out_adj is the only copy of the arcs these commands read: attach
+    # gathers the in-neighbors of the vertices it attaches, and verify looks
+    # each tree arc up in its tail's head list, bisected on the hub's
+    inst = tmp_path / "inst.json"
+    if shape == "random":
+        gen_random(tmp_path, "inst.json", n=400, p=0.01, seed=3)
+    else:  # root 0 fans out to 40 candidates with two private heads each
+        arcs = [(0, v) for v in range(1, 41)] + [(v, 39 + 2 * v + j) for v in range(1, 41)
+                                                   for j in (0, 1)]
+        write_instance(build_digraph(121, 0, arcs), inst)
+
+    def refuse(d):
+        raise AssertionError("in_adj built")
+
+    monkeypatch.setattr(Digraph, "in_adj", property(refuse))
+    for algo in ("maxleaves", "expansion2", "w3dm-greedy"):
+        sol = tmp_path / f"{algo}.json"
+        assert run("solve", "--algo", algo, "--input", str(inst), "--output", str(sol)) == 0
+        assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
+        phase = json.loads(sol.read_text())["phase"]
+        # the random instance leaves vertices for attach, whose phase is T's
+        attaches = phase.count(len(PIPELINES[algo].phases) - 1)
+        assert attaches > 0 if shape == "random" else attaches == 0, attaches
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 
 from leafspan import (
     CycleDetected,
+    Digraph,
     MalformedInput,
     NotRooted,
     build_digraph,
@@ -83,6 +84,30 @@ def test_adjacency_consistency():
     assert len(d.out_adj[0]) == 2
     assert len(d.in_adj[3]) == 2
     assert digraph_arcs(d) == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+
+def test_in_adj_is_built_on_first_use_from_out_adj():
+    # only out_adj is stored: in_adj is filed from it when first read, then
+    # cached, and equals both a recount and the in_adj of a fresh build
+    for d in random_dag_corpus(80, 1, 30, seed=101):
+        n = d.vertex_count
+        recount = tuple(tuple(u for u in range(n) if v in d.out_adj[u]) for v in range(n))
+        assert d.in_adj == recount
+        assert d.in_adj is d.in_adj
+        fresh = Digraph(n, d.root, [list(heads) for heads in d.out_adj])
+        assert fresh.in_adj == d.in_adj
+        assert graph_fields(fresh) == graph_fields(d)
+
+
+def test_in_adj_refuses_assignment_before_and_after_first_use():
+    d = build_digraph(3, 0, [(0, 1), (0, 2), (1, 2)])
+    forged = ((), (0,), (1,))
+    with pytest.raises(AttributeError):
+        d.in_adj = forged
+    assert d.in_adj == ((), (0,), (0, 1))
+    with pytest.raises(AttributeError):
+        d.in_adj = forged
+    assert d.in_adj == ((), (0,), (0, 1))
 
 
 def test_topological_order_star():

@@ -47,6 +47,7 @@ from oracles import (
     digraph_arcs,
     phase_prefixes,
     random_dag_corpus,
+    reference_attach,
     reference_certify,
     reference_greedy_expand,
     reference_max_expand,
@@ -566,6 +567,54 @@ class TestAttach:
         t = attach(f)
         assert t.is_spanning_arborescence()
         assert t.parent[3] == 0
+
+    # attach gathers the in-neighbors of the vertices it attaches, where the
+    # reference reads the host's full in_adj
+    @staticmethod
+    def assert_matches_reference(f):
+        t, ref = attach(f), reference_attach(f)
+        assert (t.parent, t.out_degree) == (ref.parent, ref.out_degree)
+        assert t.is_spanning_arborescence()
+        return t
+
+    def test_matches_reference_after_each_pipelines_last_phase(self):
+        attached = 0
+        for d in random_dag_corpus(150, 1, 30, seed=109):
+            for name in ("maxleaves", "expansion2", "w3dm-greedy", "w3dm-exact"):
+                if name == "w3dm-exact" and d.vertex_count > 20:
+                    continue  # pack_exact's search grows fast on the larger DAGs
+                pipeline = PIPELINES[name]
+                t, report = pipeline.solve(leafspan.cli, d)
+                count = len(pipeline.phases) - 1
+                last = phase_prefixes(d, t.parent, report.phase, count)[-1]
+                assert self.assert_matches_reference(last).parent == t.parent
+                attached += last.parent.count(None) - 1
+        assert attached > 1000, attached
+
+    def test_matches_reference_from_the_empty_branching(self):
+        # every non-root vertex is parentless, so every in-list is gathered,
+        # and a vertex attached early is preferred by those after it
+        preferred = 0
+        for d in random_dag_corpus(150, 1, 30, seed=113) + hub_and_spine_dags(127):
+            t = self.assert_matches_reference(Branching(d))
+            preferred += sum(1 for v, p in enumerate(t.parent)
+                             if p is not None and p != d.in_adj[v][0])
+        assert preferred > 100, preferred
+
+    def test_matches_reference_where_w3dm_leaves_free_heads_under_internal_vertices(self):
+        # a packer that selects only pairs splits each spine vertex's triple,
+        # so F3 leaves its third head parentless under an internal vertex
+        pairs_only = Packer("greedy", lambda sets: pack_greedy(
+            [s for s in sets if len(s.members) == 2]))
+        under_internal = preferred = 0
+        for d in hub_and_spine_dags(131) + random_dag_corpus(150, 1, 30, seed=137):
+            t, report = max_leaves_packing(d, pairs_only)
+            f3 = phase_prefixes(d, t.parent, report.phase, 3)[-1]
+            assert self.assert_matches_reference(f3).parent == t.parent
+            attached = [v for v, p in enumerate(f3.parent) if p is None and v != d.root]
+            under_internal += sum(1 for v in attached if f3.out_degree[t.parent[v]] > 0)
+            preferred += sum(1 for v in attached if t.parent[v] != d.in_adj[v][0])
+        assert under_internal > 200 and preferred > 0, (under_internal, preferred)
 
 
 def test_solve_and_verify_each_build_their_report_once(monkeypatch):
