@@ -25,8 +25,8 @@ from .branching import Branching, BranchingStats
 
 
 def two_phase_lower_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
-    """Guaranteed leaf count after the 3-phase, matching phase, and attach."""
-    return Fraction(N1 - k1, 6) + Fraction(N2 - k2, 2) + 1
+    """Guaranteed leaf count after the 3-phase, matching phase, and attach: lb_lemma1."""
+    return Fraction(N1 - k1 + 3 * (N2 - k2) + 6, 6)
 
 
 def upper_bound_from_two_branching(N2: int, k2: int) -> Fraction:
@@ -38,7 +38,7 @@ def upper_bound_from_two_branching(N2: int, k2: int) -> Fraction:
 def two_phase_upper_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
     """The sharper two-phase bound opt <= (N1-k1)/2 + (N2-k2)/2 + 1, when F1 and F2 are
     closed: maximal 3- and 2-branchings, no internal vertex with a parentless host out-neighbor."""
-    return Fraction(N1 - k1, 2) + Fraction(N2 - k2, 2) + 1
+    return Fraction(N1 - k1 + N2 - k2 + 2, 2)
 
 
 def two_phase_bounds(
@@ -63,16 +63,12 @@ def two_phase_certificate_ok(leaves: int, u2: Fraction, u3: Fraction) -> bool:
 
 def baseline_lower_bound(N: int, k: int) -> Fraction:
     """Leaf guarantee of the plain 2-expansion baseline: (N-k)/2 + 1."""
-    return Fraction(N - k, 2) + 1
+    return Fraction(N - k + 2, 2)
 
 
-def packing_lower_bound(
-    N1: int, k1: int, N2: int, k2: int, N3: int, k3: int
-) -> Fraction:
-    """Leaf guarantee of the weighted-packing pipeline."""
-    return (
-        Fraction(N1 - k1, 12) + Fraction(N2 - k2, 6) + Fraction(N3 - k3, 2) + 1
-    )
+def packing_lower_bound(N1: int, k1: int, N2: int, k2: int, N3: int, k3: int) -> Fraction:
+    """Leaf guarantee of the weighted-packing pipeline: (N1-k1)/12 + (N2-k2)/6 + (N3-k3)/2 + 1."""
+    return Fraction(N1 - k1 + 2 * (N2 - k2) + 6 * (N3 - k3) + 12, 12)
 
 
 def packing_upper_bound(
@@ -80,12 +76,10 @@ def packing_upper_bound(
 ) -> Fraction:
     """opt bound parametric in the packing solver's approximation factor, when F1 and F3 are
     closed: maximal 4- and 2-branchings, no internal vertex with a parentless host out-neighbor."""
-    return (
-        Fraction(3 - 2 * alpha, 3) * (N1 - k1)
-        + (alpha / 6) * (N2 - k2)
-        + (alpha / 2) * (N3 - k3)
-        + 1
-    )
+    # (3 - 2a)/3 (N1-k1) + a/6 (N2-k2) + a/2 (N3-k3) + 1, over 6q for a = p/q
+    p, q = alpha.numerator, alpha.denominator
+    top = 2 * (3 * q - 2 * p) * (N1 - k1) + p * (N2 - k2) + 3 * p * (N3 - k3) + 6 * q
+    return Fraction(top, 6 * q)
 
 
 @dataclass(frozen=True)

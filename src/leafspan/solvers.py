@@ -215,9 +215,22 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     vertex) yields a spanning arborescence, so the search minimizes the
     total weight of distinct parents used.  ``objective`` is "leaves" (count
     of out-degree-0 vertices) or "leaf_weight" (their summed vertex weights).
-    The optimistic bound assumes every undecided vertex becomes a leaf, which
-    is admissible, so pruning never changes the returned value.  Ties go to
-    the first optimum in search order: free parents first, then ascending id.
+    Vertices with one in-neighbor are fixed; the rest, the choices, are
+    decided in topological order, parents already in use first, then by
+    ascending id, and ties go to the first optimum in that order.
+
+    For each suffix of the choices, a greedy family in (in-degree, id) order
+    is built once: its members' in-lists are pairwise disjoint and hold no
+    fixed parent, and each member v carries low(v) > 0, its lightest
+    in-neighbor's weight.  A node is cut when its bound, cost + the sum of
+    low(v) over its suffix's members with no in-neighbor in use, is at least
+    the best cost.  This cannot change the result:
+      * distinct members need distinct new parents, so the bound never
+        exceeds the cost of any completion of the node: it is admissible;
+      * let L* be the first leaf of least cost c* in search order.  Until L*
+        is reached, best cost > c*; every ancestor of L* has bound <= c*, so
+        L* is reached, recorded, and never replaced: later leaves cost >= c*;
+      * the order of a node's children depends only on the path to it.
     """
     if objective not in ("leaves", "leaf_weight"):
         raise MalformedInput(f"unknown objective {objective!r:.20}")
@@ -234,23 +247,33 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
 
     in_adj = d.in_adj  # built on first use: read once, not per search node
     order = [v for v in topological_order(d) if v != d.root]
-    forced = [v for v in order if len(in_adj[v]) == 1]
     choices = [v for v in order if len(in_adj[v]) > 1]
+    # one bit per parent a choice can take, so a set of parents in use is an int
+    bit = {p: 1 << b for b, p in enumerate(dict.fromkeys(p for v in choices for p in in_adj[v]))}
+    options = [[(p, bit[p]) for p in in_adj[v]] for v in choices]
 
-    parent: list[Optional[int]] = [None] * n
-    use_count = [0] * n
-    base_cost = 0
-    for v in forced:
-        p = in_adj[v][0]
-        parent[v] = p
-        if use_count[p] == 0:
-            base_cost += weight[p]
-        use_count[p] += 1
+    forced = {v: in_adj[v][0] for v in order if len(in_adj[v]) == 1}
+    parent: list[Optional[int]] = [forced.get(v) for v in range(n)]
+    fixed = set(forced.values())  # the parents in use before the search
+    base_cost, base_used = sum(weight[p] for p in fixed), sum(bit.get(p, 0) for p in fixed)
+
+    masks = [sum(b for _, b in opts) for opts in options]
+    lows = [min(weight[p] for p, _ in opts) for opts in options]
+    ranked = sorted((len(options[i]), choices[i], i) for i in range(len(choices))
+                    if lows[i] and not masks[i] & base_used)
+    families = []  # families[i]: (in-list mask, low) of each member of suffix i's family
+    for i in range(len(choices)):
+        taken, family = 0, []
+        for _, _, j in ranked:
+            if j >= i and not taken & masks[j]:
+                taken |= masks[j]
+                family.append((masks[j], lows[j]))
+        families.append(family)
 
     best_cost = total + 1
     best_parent: Optional[list[Optional[int]]] = None
 
-    def dfs(i: int, cost: int) -> None:
+    def dfs(i: int, cost: int, used: int) -> None:
         nonlocal best_cost, best_parent
         if cost >= best_cost:
             return
@@ -258,18 +281,15 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
             best_cost = cost
             best_parent = list(parent)
             return
+        if cost + sum([low for mask, low in families[i] if not used & mask]) >= best_cost:
+            return
         v = choices[i]
-        options = in_adj[v]
-        # free (already-internal) parents first, then ascending id
-        for p in sorted(options, key=lambda q: (use_count[q] == 0, q)):
-            added = weight[p] if use_count[p] == 0 else 0
+        # parents in use first (they add no cost); the stable sort keeps ascending id
+        for p, b in sorted(options[i], key=lambda o: not used & o[1]):
             parent[v] = p
-            use_count[p] += 1
-            dfs(i + 1, cost + added)
-            use_count[p] -= 1
-            parent[v] = None
+            dfs(i + 1, cost if used & b else cost + weight[p], used | b)
 
-    dfs(0, base_cost)
+    dfs(0, base_cost, base_used)
     del dfs  # dfs refers to itself; break the cycle so its state is freed now
     assert best_parent is not None
     return total - best_cost, Branching.from_parents(d, best_parent)

@@ -16,6 +16,9 @@ a phase array.  `random_dag_corpus` and `random_edges` supply seeded inputs
 for property tests, and `add_expansion` builds branchings by hand.
 `digraph_arcs` and `branching_arcs` list the arcs of a digraph and of a
 branching.
+`reference_exact_max_leaves` is the exact oracle with its cost prune
+alone, and the `reference_*_bound` functions are the certificate bounds
+written as sums of `Fraction` terms.
 `leaves_to_independent_set` maps a solved `reduce_independent_set`
 instance back to the source graph.
 `graph_fields` compares two digraphs field by field, and `instance_v1`
@@ -27,22 +30,26 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
 from leafspan import (
     Branching,
     Digraph,
+    MalformedInput,
     Packer,
     PackSet,
+    PreconditionViolated,
     TooLarge,
     UndirectedGraphInstance,
     attach,
     gen_random_rooted_dag,
 )
 from leafspan.certificates import PIPELINES, Pipeline, SolveReport
-from leafspan.graph import Arc
+from leafspan.graph import Arc, topological_order
 from leafspan.matching import Edge, _normalize_edges, max_matching
 from leafspan.packing import EXACT_SET_LIMIT
+from leafspan.solvers import _exact_guard
 
 BRUTE_FORCE_EDGE_LIMIT = 25
 BRUTE_FORCE_PARENT_FUNCTION_LIMIT = 10**6
@@ -115,6 +122,112 @@ def brute_force_max_leaves(d: Digraph, objective: str = "leaves") -> int:
         sum(weight[p] for p in set(parents)) for parents in itertools.product(*options)
     )
     return sum(weight) - used_weight
+
+
+def reference_exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branching]:
+    """The exact oracle before its disjoint-family bound; twin of `exact_max_leaves`.
+
+    Its only prune is "cost so far >= best cost"; `exact_max_leaves` must
+    return the same value and parent array, and refuse the same inputs.
+
+    On a rooted DAG every parent function (one in-neighbor per non-root
+    vertex) yields a spanning arborescence, so the search minimizes the
+    total weight of distinct parents used.  ``objective`` is "leaves" (count
+    of out-degree-0 vertices) or "leaf_weight" (their summed vertex weights).
+    The optimistic bound assumes every undecided vertex becomes a leaf, which
+    is admissible, so pruning never changes the returned value.  Ties go to
+    the first optimum in search order: free parents first, then ascending id.
+    """
+    if objective not in ("leaves", "leaf_weight"):
+        raise MalformedInput(f"unknown objective {objective!r:.20}")
+    _exact_guard(d)
+
+    n = d.vertex_count
+    if objective == "leaf_weight":
+        if d.vertex_weights is None:
+            raise PreconditionViolated("leaf_weight objective needs vertex weights")
+        weight = d.vertex_weights
+    else:
+        weight = [1] * n
+    total = sum(weight)
+
+    in_adj = d.in_adj  # built on first use: read once, not per search node
+    order = [v for v in topological_order(d) if v != d.root]
+    forced = [v for v in order if len(in_adj[v]) == 1]
+    choices = [v for v in order if len(in_adj[v]) > 1]
+
+    parent: list[Optional[int]] = [None] * n
+    use_count = [0] * n
+    base_cost = 0
+    for v in forced:
+        p = in_adj[v][0]
+        parent[v] = p
+        if use_count[p] == 0:
+            base_cost += weight[p]
+        use_count[p] += 1
+
+    best_cost = total + 1
+    best_parent: Optional[list[Optional[int]]] = None
+
+    def dfs(i: int, cost: int) -> None:
+        nonlocal best_cost, best_parent
+        if cost >= best_cost:
+            return
+        if i == len(choices):
+            best_cost = cost
+            best_parent = list(parent)
+            return
+        v = choices[i]
+        options = in_adj[v]
+        # free (already-internal) parents first, then ascending id
+        for p in sorted(options, key=lambda q: (use_count[q] == 0, q)):
+            added = weight[p] if use_count[p] == 0 else 0
+            parent[v] = p
+            use_count[p] += 1
+            dfs(i + 1, cost + added)
+            use_count[p] -= 1
+            parent[v] = None
+
+    dfs(0, base_cost)
+    del dfs  # dfs refers to itself; break the cycle so its state is freed now
+    assert best_parent is not None
+    return total - best_cost, Branching.from_parents(d, best_parent)
+
+
+def reference_two_phase_lower_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
+    """lb_lemma1 as a sum of `Fraction` terms; twin of `two_phase_lower_bound`."""
+    return Fraction(N1 - k1, 6) + Fraction(N2 - k2, 2) + 1
+
+
+def reference_two_phase_upper_bound(N1: int, k1: int, N2: int, k2: int) -> Fraction:
+    """ub_lemma3 as a sum of `Fraction` terms; twin of `two_phase_upper_bound`."""
+    return Fraction(N1 - k1, 2) + Fraction(N2 - k2, 2) + 1
+
+
+def reference_baseline_lower_bound(N: int, k: int) -> Fraction:
+    """lb_baseline as a sum of `Fraction` terms; twin of `baseline_lower_bound`."""
+    return Fraction(N - k, 2) + 1
+
+
+def reference_packing_lower_bound(
+    N1: int, k1: int, N2: int, k2: int, N3: int, k3: int
+) -> Fraction:
+    """lb_lemma4 as a sum of `Fraction` terms; twin of `packing_lower_bound`."""
+    return (
+        Fraction(N1 - k1, 12) + Fraction(N2 - k2, 6) + Fraction(N3 - k3, 2) + 1
+    )
+
+
+def reference_packing_upper_bound(
+    N1: int, k1: int, N2: int, k2: int, N3: int, k3: int, alpha: Fraction
+) -> Fraction:
+    """ub_lemma5 as a sum of `Fraction` terms in ``alpha``; twin of `packing_upper_bound`."""
+    return (
+        Fraction(3 - 2 * alpha, 3) * (N1 - k1)
+        + (alpha / 6) * (N2 - k2)
+        + (alpha / 2) * (N3 - k3)
+        + 1
+    )
 
 
 def brute_force_max_independent_set(

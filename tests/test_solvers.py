@@ -33,8 +33,13 @@ from leafspan import (
 from leafspan.certificates import (
     PIPELINES,
     SolveReport,
+    baseline_lower_bound,
+    packing_lower_bound,
+    packing_upper_bound,
     two_phase_bounds,
     two_phase_certificate_ok,
+    two_phase_lower_bound,
+    two_phase_upper_bound,
 )
 from leafspan.verify import read_solution, verify_solution, write_solution
 from oracles import (
@@ -48,10 +53,15 @@ from oracles import (
     phase_prefixes,
     random_dag_corpus,
     reference_attach,
+    reference_baseline_lower_bound,
     reference_certify,
     reference_greedy_expand,
     reference_max_expand,
     reference_max_leaves_packing,
+    reference_packing_lower_bound,
+    reference_packing_upper_bound,
+    reference_two_phase_lower_bound,
+    reference_two_phase_upper_bound,
 )
 
 
@@ -270,6 +280,28 @@ class TestMaxLeaves:
             assert (u3 - 1) / 3 + (u2 - 1) / 3 + 1 == lb
             for leaves in range(int(lb) - 2, int(lb) + 3):
                 assert two_phase_certificate_ok(leaves, u2, u3) == (leaves >= lb)
+
+    def test_bounds_equal_their_sums_of_fractions(self):
+        # each bound is one Fraction over an integer numerator: the value of
+        # the sum of Fraction terms, so the report strings are the same
+        rng = random.Random(71)
+        alphas = [Fraction(1), Fraction(3), Fraction(2, 3), Fraction(5, 4), Fraction(7, 3)]
+        for _ in range(2000):
+            nk = []  # N1, k1, N2, k2, N3, k3 with every N >= k >= 0
+            for _ in range(3):
+                scale = rng.choice((10, 10**6, 10**15))
+                k = rng.randrange(scale)
+                nk += [k + rng.randrange(scale), k]
+            pairs = [
+                (two_phase_lower_bound(*nk[:4]), reference_two_phase_lower_bound(*nk[:4])),
+                (two_phase_upper_bound(*nk[:4]), reference_two_phase_upper_bound(*nk[:4])),
+                (baseline_lower_bound(*nk[:2]), reference_baseline_lower_bound(*nk[:2])),
+                (packing_lower_bound(*nk), reference_packing_lower_bound(*nk)),
+            ] + [(packing_upper_bound(*nk, a), reference_packing_upper_bound(*nk, a))
+                 for a in alphas]
+            for new, old in pairs:
+                assert type(new) is Fraction
+                assert (new, str(new)) == (old, str(old)), nk
 
     def test_spanning_and_certified_on_random_dags(self):
         for d in random_dag_corpus(200, 1, 20, seed=31):
