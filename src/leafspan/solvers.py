@@ -219,14 +219,15 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     decided in topological order, parents already in use first, then by
     ascending id, and ties go to the first optimum in that order.
 
-    For each suffix of the choices, a greedy family in (in-degree, id) order
-    is built once: its members' in-lists are pairwise disjoint and hold no
-    fixed parent, and each member v carries low(v) > 0, its lightest
-    in-neighbor's weight.  A node is cut when its bound, cost + the sum of
-    low(v) over its suffix's members with no in-neighbor in use, is at least
-    the best cost.  This cannot change the result:
-      * distinct members need distinct new parents, so the bound never
-        exceeds the cost of any completion of the node: it is admissible;
+    Each node builds a greedy family in (in-degree, id) order from its
+    undecided choices v with low(v) > 0, low(v) being v's lightest
+    in-neighbor's weight: a member has no in-neighbor in use and an in-list
+    disjoint from every earlier member's.  The node is cut when its bound,
+    cost + the sum of low(v) over the members, is at least the best cost.
+    This cannot change the result:
+      * each member needs a parent not yet in use, and no two members can
+        share one, so every completion of the node costs at least the
+        bound: it is admissible;
       * let L* be the first leaf of least cost c* in search order.  Until L*
         is reached, best cost > c*; every ancestor of L* has bound <= c*, so
         L* is reached, recorded, and never replaced: later leaves cost >= c*;
@@ -234,8 +235,6 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     """
     if objective not in ("leaves", "leaf_weight"):
         raise MalformedInput(f"unknown objective {objective!r:.20}")
-    _exact_guard(d)
-
     n = d.vertex_count
     if objective == "leaf_weight":
         if d.vertex_weights is None:
@@ -243,6 +242,7 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
         weight = d.vertex_weights
     else:
         weight = [1] * n
+    _exact_guard(d)
     total = sum(weight)
 
     in_adj = d.in_adj  # built on first use: read once, not per search node
@@ -259,16 +259,9 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
 
     masks = [sum(b for _, b in opts) for opts in options]
     lows = [min(weight[p] for p, _ in opts) for opts in options]
-    ranked = sorted((len(options[i]), choices[i], i) for i in range(len(choices))
-                    if lows[i] and not masks[i] & base_used)
-    families = []  # families[i]: (in-list mask, low) of each member of suffix i's family
-    for i in range(len(choices)):
-        taken, family = 0, []
-        for _, _, j in ranked:
-            if j >= i and not taken & masks[j]:
-                taken |= masks[j]
-                family.append((masks[j], lows[j]))
-        families.append(family)
+    # (in-list mask, low, index) of each choice with low > 0, in (in-degree, id) order
+    ranked = [(masks[i], lows[i], i) for _, _, i in sorted(
+        (len(options[i]), choices[i], i) for i in range(len(choices))) if lows[i]]
 
     best_cost = total + 1
     best_parent: Optional[list[Optional[int]]] = None
@@ -281,7 +274,12 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
             best_cost = cost
             best_parent = list(parent)
             return
-        if cost + sum([low for mask, low in families[i] if not used & mask]) >= best_cost:
+        bound, taken = cost, used
+        for mask, low, j in ranked:
+            if j >= i and not taken & mask:
+                taken |= mask
+                bound += low
+        if bound >= best_cost:
             return
         v = choices[i]
         # parents in use first (they add no cost); the stable sort keeps ascending id

@@ -140,8 +140,6 @@ def reference_exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[i
     """
     if objective not in ("leaves", "leaf_weight"):
         raise MalformedInput(f"unknown objective {objective!r:.20}")
-    _exact_guard(d)
-
     n = d.vertex_count
     if objective == "leaf_weight":
         if d.vertex_weights is None:
@@ -149,6 +147,7 @@ def reference_exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[i
         weight = d.vertex_weights
     else:
         weight = [1] * n
+    _exact_guard(d)
     total = sum(weight)
 
     in_adj = d.in_adj  # built on first use: read once, not per search node

@@ -271,6 +271,22 @@ def test_bench_keeps_every_row_when_an_exact_run_is_refused(tmp_path, capsys):
     assert rows[3]["leaves"] == rows[3]["opt"] and rows[3]["certificate_ok"] == "True"
 
 
+def test_bench_exact_row_on_a_weighted_instance_maximises_leaf_weight(tmp_path):
+    # opt is the leaf-count optimum, so the exact row, which maximises leaf
+    # weight here, can have fewer leaves than opt and a ratio above 1
+    indir = tmp_path / "instances"
+    indir.mkdir()
+    arcs = [(1, 2), (1, 4), (2, 3), (3, 0), (4, 0), (4, 2), (4, 3)]
+    write_instance(build_digraph(5, 1, arcs, [0, 3, 0, 1, 3]), indir / "w.json")
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--input-dir", str(indir),
+               "--algos", "maxleaves,exact", "--csv", str(out)) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [(r["algorithm"], r["leaves"], r["opt"], r["ratio"]) for r in rows] == [
+        ("maxleaves", "3", "3", "1"), ("exact", "2", "3", "3/2")]
+
+
 def test_bench_rejects_unknown_algorithm(tmp_path):
     indir = tmp_path / "instances"
     indir.mkdir()

@@ -111,7 +111,7 @@ def test_same_value_parents_and_refusals_as_the_reference(runs):
     assert sum(1 for _, objective, _, _ in runs if objective == "leaf_weight") > 60
 
 
-def test_pruned_search_visits_a_subset_and_at_most_a_third(runs):
+def test_pruned_search_visits_a_subset_and_at_most_a_tenth(runs):
     # the two searches record the same leaves at the same points, so a node
     # the bound keeps is one the cost prune alone keeps too
     for name, objective, (_, ref_calls), (_, new_calls) in runs:
@@ -119,7 +119,7 @@ def test_pruned_search_visits_a_subset_and_at_most_a_third(runs):
     ref_total = sum(ref_calls for _, _, (_, ref_calls), _ in runs)
     new_total = sum(new_calls for _, _, _, (_, new_calls) in runs)
     assert ref_total > 10_000  # the corpus has searches worth pruning
-    assert 3 * new_total <= ref_total, (new_total, ref_total)
+    assert 10 * new_total <= ref_total, (new_total, ref_total)
 
 
 def test_counter_sees_every_search_node():

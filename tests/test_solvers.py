@@ -561,6 +561,13 @@ class TestExactOracle:
         with pytest.raises(PreconditionViolated, match="needs vertex weights"):
             exact_max_leaves(star(3), "leaf_weight")
 
+    def test_missing_weights_are_reported_before_the_guard(self):
+        # the objective is checked first, so the error does not depend on size
+        for n in (8, 40):
+            d = gen_random_rooted_dag(n, 0.3, 1)
+            with pytest.raises(PreconditionViolated, match="needs vertex weights"):
+                exact_max_leaves(d, "leaf_weight")
+
     def test_weighted_objective(self):
         d = build_digraph(
             4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)], weights=[0, 5, 1, 1]
