@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 validation or certificate failure, 2 usage error
 (including out-of-range generator arguments) or an instance too large for an
 exact method, 3 I/O or parse error.
 
+A command is parsed by its own parser alone, which reports a bad option with its
+own usage; the top-level parser sees only an empty argv, an unknown command or -h.
+
 Each command runs with Python's cyclic garbage collector paused, and `main`
 restores the collector's previous state when the command returns or raises.
 The package builds no reference cycles, so reference counting frees all its
@@ -142,8 +145,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parsing leaves no state on it."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, built once; parsing leaves no state."""
     parser = argparse.ArgumentParser(
         prog="leafspan",
         description="Leaf-maximizing spanning arborescences on rooted DAGs.",
@@ -172,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--input-dir", required=True)
     bench.add_argument("--algos", default="maxleaves", help="comma-separated algorithms")
     bench.add_argument("--csv", required=True, help="output CSV path")
-    return parser
+    commands = {"gen": gen, "solve": solve, "verify": ver, "bench": bench}
+    for name, command in commands.items():
+        command.set_defaults(command=name)
+    return parser, commands
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -180,7 +186,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        parser, commands = build_parser()
+        command = commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         # looked up at call time, so a replaced _cmd_* function takes effect
         return globals()[f"_cmd_{args.command}"](args)
     except (ParseError, OSError) as e:

@@ -178,10 +178,15 @@ def _write_in_place(path: PathLike, data: bytes) -> None:
     to a nonzero length does not.  Only regular files are trimmed, since ``ftruncate`` fails on
     devices and pipes such as ``/dev/null``.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def write_json_object(path: PathLike, obj: dict) -> None:
@@ -190,10 +195,11 @@ def write_json_object(path: PathLike, obj: dict) -> None:
 
 
 def read_json_object(path: PathLike) -> dict:
-    """Read the JSON object in ``path``; unreadable or malformed content raises ParseError."""
+    """Read the UTF-8 JSON object in ``path``; unreadable or malformed content raises ParseError."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError) as e:
+        with open(path, "rb") as f:
+            obj = json.loads(f.read().decode())
+    except (OSError, UnicodeDecodeError) as e:  # caught before ValueError, its base class
         raise ParseError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:
         # a JSONDecodeError, an integer too long to convert, or nesting too deep

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -12,7 +13,7 @@ import pytest
 import leafspan.cli
 from leafspan import Branching, Digraph, build_digraph, read_instance, write_instance
 from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
-from leafspan.cli import ALGORITHMS, CSV_HEADER, main
+from leafspan.cli import ALGORITHMS, CSV_HEADER, build_parser, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
 from oracles import phase_prefixes
@@ -86,11 +87,15 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
+def package_env():
+    """The environment of a child Python that imports this package from its source tree."""
+    path = [str(Path(leafspan.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 def test_runtime_imports_only_the_standard_library():
     # a diff, not a scan: site .pth files may preload third-party modules
-    path = [str(Path(leafspan.cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=env,
+    out = subprocess.run([sys.executable, "-c", _NEW_MODULES], env=package_env(),
                          capture_output=True, text=True, check=True).stdout
     new = json.loads(out)
     assert "leafspan.cli" in new
@@ -190,11 +195,71 @@ def test_tampered_leaf_count_fails_verify(tmp_path):
     assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 1
 
 
-def test_usage_error_exits_2(tmp_path):
+def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("solve", "--algo", "no-such-algo",
             "--input", "x", "--output", "y")
     assert info.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: leafspan solve")
+
+
+def parse_spy(monkeypatch):
+    """The prog of every parser whose parse_known_args runs, in call order."""
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    return progs
+
+
+@pytest.mark.parametrize("name", ["gen", "solve-maxleaves", "verify", "bench"])
+def test_each_command_is_parsed_once_by_its_own_parser(command_files, monkeypatch, name):
+    code, argv = command(command_files, name)
+    progs = parse_spy(monkeypatch)
+    assert run(*argv) == code
+    assert progs == [f"leafspan {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        pytest.param([], "usage: leafspan [-h]", id="no-argv"),
+        pytest.param(["sol"], "usage: leafspan [-h]", id="unknown-command"),
+        pytest.param(["solve", "--algo", "maxleaves", "--input", "x"],
+                     "usage: leafspan solve", id="missing-option"),
+        pytest.param(["solve", "--algo", "maxleaves", "--input", "x", "--output", "y",
+                      "--bogus", "1"], "usage: leafspan solve", id="unrecognized-option"),
+    ],
+)
+def test_usage_errors_exit_2_with_the_usage_of_the_failing_parser(capsys, argv, usage):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(usage) and "Traceback" not in err
+    if "--bogus" in argv:
+        assert "leafspan solve: error: unrecognized arguments: --bogus 1" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["solve", "-h"], ["verify", "--help"]])
+def test_help_matches_the_top_level_route_and_exits_0(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    # the top-level parser hands a command's arguments to that command's
+    # parser, so both routes must print the same help
+    for parse in (main, build_parser()[0].parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith(" ".join(["usage: leafspan", *argv[:-1], "[-h]"]))
+    if argv == ["-h"]:
+        assert "{gen,solve,verify,bench}" in texts[0]
 
 
 def test_parse_error_exits_3(tmp_path, capsys):
@@ -727,3 +792,39 @@ def test_main_restores_the_collector_state(command_files, monkeypatch, collector
         run(*command(command_files, "solve-maxleaves")[1])
     assert gc.isenabled() is enabled
     assert seen == [False]
+
+
+FAIL_ON_LOCALE_ENCODING = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+
+
+@pytest.mark.parametrize("name", ["gen", "solve-maxleaves", "verify", "bench"])
+def test_commands_never_use_the_locale_encoding(command_files, name):
+    # an open() or read_text() without an encoding raises EncodingWarning here
+    code, argv = command(command_files, name)
+    done = subprocess.run([sys.executable, *FAIL_ON_LOCALE_ENCODING, "-m", "leafspan.cli", *argv],
+                          env=package_env(), capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+
+
+def instance_with_provenance(tmp_path, encoding):
+    path = tmp_path / f"{encoding}.json"
+    body = '{"version":2,"n":2,"root":0,"out":[[1],[]],"provenance":"caf\u00e9"}'
+    path.write_bytes(body.encode(encoding))
+    return path
+
+
+def test_a_latin_1_byte_exits_3(tmp_path, capsys):
+    inst = instance_with_provenance(tmp_path, "latin-1")
+    assert b"\xe9" in inst.read_bytes()
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst),
+               "--output", str(tmp_path / "sol.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {inst}: 'utf-8' codec can't decode byte 0xe9")
+
+
+def test_a_byte_order_mark_exits_3_as_invalid_json(tmp_path, capsys):
+    inst = instance_with_provenance(tmp_path, "utf-8-sig")
+    assert inst.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run("verify", "--instance", str(inst), "--solution", str(inst)) == 3
+    assert capsys.readouterr().err.startswith(f"error: {inst}: invalid JSON: Unexpected UTF-8 BOM")

@@ -1,11 +1,16 @@
+import errno
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+import leafspan
 from leafspan import (
     Branching,
     CycleDetected,
@@ -26,7 +31,7 @@ from leafspan import (
     write_instance,
 )
 from leafspan.cli import ALGORITHMS, main
-from leafspan.instances import write_json_object
+from leafspan.instances import _write_in_place, read_json_object, write_json_object
 from oracles import (
     brute_force_max_independent_set,
     digraph_arcs,
@@ -561,3 +566,69 @@ def test_both_formats_read_and_solve_the_same(tmp_path):
                 code = main(["solve", "--algo", algo, "--input", str(inst), "--output", str(sol)])
                 solutions.append((code, sol.read_bytes() if code == 0 else None))
             assert solutions[0] == solutions[1]
+
+
+_READ_PROVENANCE = "import sys; from leafspan.instances import read_json_object; " \
+    "print(ascii(read_json_object(sys.argv[1])['provenance']))"
+
+
+def test_utf8_provenance_reads_back_unchanged_under_any_locale(tmp_path):
+    p = tmp_path / "utf8.json"
+    p.write_bytes('{"version":2,"n":1,"root":0,"out":[[]],"provenance":"caf\u00e9"}'.encode())
+    assert read_json_object(p)["provenance"] == "caf\u00e9"
+    # a child Python whose locale encoding is ASCII: the C locale, not coerced
+    # to UTF-8 and without UTF-8 mode
+    src = os.path.dirname(os.path.dirname(leafspan.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _READ_PROVENANCE, str(p)],
+                          env=env, capture_output=True, text=True, encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "'caf\\xe9'\n", "")
+
+
+class TestWriteInPlace:
+    def test_partial_writes_land_whole(self, tmp_path, monkeypatch):
+        os_write, sizes = os.write, []
+
+        def at_most_7(fd, data):
+            sizes.append(os_write(fd, data[:7]))
+            return sizes[-1]
+
+        data = bytes(range(256)) * 3
+        p = tmp_path / "out.bin"
+        monkeypatch.setattr(os, "write", at_most_7)
+        _write_in_place(p, data)
+        monkeypatch.undo()
+        assert p.read_bytes() == data
+        assert sizes == [7] * (len(data) // 7) + [len(data) % 7]
+
+    def test_a_longer_file_is_trimmed_to_the_new_length(self, tmp_path):
+        p = tmp_path / "out.bin"
+        p.write_bytes(b"x" * 100)
+        _write_in_place(p, b"short")
+        assert p.read_bytes() == b"short"
+
+    def test_only_regular_files_are_truncated(self, tmp_path, monkeypatch):
+        os_ftruncate, lengths = os.ftruncate, []
+
+        def spy(fd, length):
+            lengths.append(length)
+            os_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", spy)
+        _write_in_place(os.devnull, b"to the device")
+        assert lengths == []
+        _write_in_place(tmp_path / "out.bin", b"to a file")
+        assert lengths == [9]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    def test_a_failed_write_closes_the_descriptor(self, tmp_path, monkeypatch):
+        # a leaked raw fd raises no ResourceWarning, so count the open ones
+        def full(fd, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        before = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "write", full)
+        with pytest.raises(OSError):
+            _write_in_place(tmp_path / "out.bin", b"data")
+        monkeypatch.undo()
+        assert sorted(os.listdir("/proc/self/fd")) == before
