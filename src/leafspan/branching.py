@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import is_not
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MalformedInput, NotTBranching, PreconditionViolated
@@ -64,7 +66,7 @@ class Branching:
         pair in the host, or some vertex would get two parents.
         """
         b = cls(host)
-        n, out_adj = host.vertex_count, host.out_adj
+        n, out_adj, parent, out_degree = host.vertex_count, host.out_adj, b.parent, b.out_degree
         try:
             for u, v in arcs:
                 # the range check stops a negative u indexing from the end, a head
@@ -73,10 +75,10 @@ class Branching:
                 if type(v) is not int or (v not in heads if len(heads) < 16 else
                                           heads[bisect_left(heads, v, 0, len(heads) - 1)] != v):
                     raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
-                if b.parent[v] is not None:
+                if parent[v] is not None:
                     raise MalformedInput(f"vertex {v} has two parents")
-                b.parent[v] = u
-                b.out_degree[u] += 1
+                parent[v] = u
+                out_degree[u] += 1
         except (TypeError, ValueError) as e:  # from iterating or unpacking, not the body
             raise MalformedInput(f"arcs must be an iterable of pairs: {e}") from None
         return b
@@ -87,7 +89,8 @@ class Branching:
         if not isinstance(parents, Sequence) or len(parents) != host.vertex_count:
             raise MalformedInput(f"parent array must be a sequence of length "
                                  f"{host.vertex_count}, got {parents!r:.20}")
-        return cls.from_arcs(host, [(p, v) for v, p in enumerate(parents) if p is not None])
+        arcs = compress(zip(parents, count()), map(is_not, parents, repeat(None)))
+        return cls.from_arcs(host, arcs)
 
     def copy(self) -> "Branching":
         b = Branching.__new__(Branching)

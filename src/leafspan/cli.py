@@ -91,7 +91,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    d = read_instance(args.instance)
+    d = read_instance(args.instance, ordered=False)  # verify reads no topological order
     solution = read_solution(args.solution)
     problems = verify_solution(d, solution)
     if problems:

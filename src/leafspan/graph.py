@@ -14,8 +14,10 @@ tail, sorts each list and hands them to the same validator.
 
 The graph must be simple, acyclic and rooted; the Kahn pass that checks this
 computes the smallest-id-first topological order, which every solver phase
-then reuses.  ``out_adj`` is the only stored copy of the arcs; ``in_adj`` is
-derived on first use into a cache written once, so instances are safe to share.
+then reuses, or, with ``ordered=False`` (``verify`` reads no order), runs over
+a list, not a heap.  ``out_adj`` is the only stored copy of the arcs; ``in_adj``
+and a deferred ``order`` are derived on first use into caches written once, so
+instances are safe to share.
 """
 
 from __future__ import annotations
@@ -83,11 +85,11 @@ class Digraph:
             ``in_adj`` is filed from it on first access, with no sort.
         vertex_weights: optional per-vertex nonnegative integer weights,
             used only by the vertex-weighted leaf objective.
-        order: topological order; among ready vertices the smallest id
-            comes first, so the root leads.
+        order: read-only topological order, smallest ready id first, so the root
+            leads; under ``ordered=False``, built on first access from ``in_adj``.
     """
 
-    __slots__ = ("vertex_count", "root", "out_adj", "_in_adj", "vertex_weights", "order")
+    __slots__ = ("vertex_count", "root", "out_adj", "_in_adj", "vertex_weights", "_order")
 
     def __init__(
         self,
@@ -95,6 +97,7 @@ class Digraph:
         root: int,
         out: list[list[int]],
         weights: Optional[Sequence[int]] = None,
+        *, ordered: bool = True,
     ):
         _check_root(vertex_count, root)
         if type(out) is not list:
@@ -132,7 +135,13 @@ class Digraph:
         self._in_adj: Optional[tuple[tuple[int, ...], ...]] = None
         self.vertex_weights = tuple(weights) if weights is not None else None
 
-        self.order = self._validated_order(indeg)
+        self._order = self._validated_order(indeg, ordered)
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        if self._order is None:  # built with ordered=False: count in-degrees from in_adj
+            self._order = self._validated_order(list(map(len, self.in_adj)), True)
+        return self._order
 
     @property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -145,30 +154,39 @@ class Digraph:
             self._in_adj = tuple(list(map(tuple, in_adj)))
         return self._in_adj
 
-    def _validated_order(self, indeg: list[int]) -> tuple[int, ...]:
-        """Smallest-id-first Kahn pass, consuming ``indeg``; raises on a cycle or a second source.
+    def _validated_order(self, indeg: list[int], ordered: bool) -> Optional[tuple[int, ...]]:
+        """Kahn pass consuming ``indeg``; raises on a cycle or a second source.
 
-        On a DAG every vertex is reachable from some in-degree-0 vertex, so
-        the graph is rooted iff the root is the only one.
+        A heap yields the smallest-id-first order if ``ordered``; otherwise the ready
+        vertices queue in a growing list and None is returned.  Both passes reach every
+        vertex iff the graph is acyclic.  On a DAG every vertex is reachable from some
+        in-degree-0 vertex, so the graph is rooted iff the root is the only one.
         """
         n, out_adj = self.vertex_count, self.out_adj
-        heappop, heappush = heapq.heappop, heapq.heappush
         sources = [v for v in range(n) if indeg[v] == 0]
-        ready = list(sources)  # ascending, so already a heap
-        order: list[int] = []
-        while ready:
-            v = heappop(ready)
-            order.append(v)
-            for u in out_adj[v]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    heappush(ready, u)
+        order = list(sources)  # ascending, so already a heap
+        if ordered:
+            heappop, heappush = heapq.heappop, heapq.heappush
+            ready, order = order, []
+            while ready:
+                v = heappop(ready)
+                order.append(v)
+                for u in out_adj[v]:
+                    indeg[u] -= 1
+                    if indeg[u] == 0:
+                        heappush(ready, u)
+        else:
+            for v in order:
+                for u in out_adj[v]:
+                    indeg[u] -= 1
+                    if indeg[u] == 0:
+                        order.append(u)
         if len(order) != n:
             raise CycleDetected("input contains a directed cycle")
         if sources != [self.root]:
             missing = next(v for v in sources if v != self.root)
             raise NotRooted(f"vertex {missing} unreachable from root {self.root}")
-        return tuple(order)
+        return tuple(order) if ordered else None
 
     def __repr__(self) -> str:
         return (
@@ -182,11 +200,12 @@ def build_digraph(
     root: int,
     arcs: Iterable[Arc],
     weights: Optional[Sequence[int]] = None,
+    *, ordered: bool = True,
 ) -> Digraph:
     """Build and validate a rooted DAG from its arcs, in any order.
 
     Each arc is checked in input order and filed under its tail; the sorted
-    lists then go to the `Digraph` validator.
+    lists then go to the `Digraph` validator, with ``ordered`` (see `Digraph`).
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
@@ -219,7 +238,7 @@ def build_digraph(
     for heads in out:
         if len(heads) > 1:
             heads.sort()
-    return Digraph(vertex_count, root, out, weights)
+    return Digraph(vertex_count, root, out, weights, ordered=ordered)
 
 
 def topological_order(d: Digraph) -> list[int]:

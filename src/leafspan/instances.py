@@ -214,15 +214,16 @@ def _same(recorded: object, expected: object) -> bool:
     return type(recorded) is type(expected) and recorded == expected
 
 
-def read_instance(path: PathLike) -> Digraph:
-    """Parse and validate an instance file of version 1 or 2; malformed content raises ParseError."""
+def read_instance(path: PathLike, *, ordered: bool = True) -> Digraph:
+    """Parse and validate an instance file of version 1 or 2; malformed content raises ParseError.
+    ``ordered`` is passed to `Digraph`."""
     obj = read_json_object(path)
     n, root, weights = obj.get("n"), obj.get("root"), obj.get("weights")
     try:
         if _same(obj.get("version"), 2):
-            return Digraph(n, root, obj.get("out"), weights)
+            return Digraph(n, root, obj.get("out"), weights, ordered=ordered)
         if _same(obj.get("version"), 1):
-            return build_digraph(n, root, obj.get("arcs"), weights)
+            return build_digraph(n, root, obj.get("arcs"), weights, ordered=ordered)
     except LeafspanError as e:
         # the original CycleDetected / NotRooted / MalformedInput stays as cause
         raise ParseError(f"{path}: {e}") from e

@@ -2,16 +2,17 @@
 
 A solution file (format version 2) holds the parent array of the spanning
 arborescence, a per-vertex ``phase`` index into its pipeline's phase names,
-and the solver's report.  Verification trusts only the instance and those
-two arrays: it validates the parent array, recomputes the phase array and
-the report from the two arrays with the code the solver used
-(`SolveReport.certify` and the pipeline's record in
-`certificates.PIPELINES`), building no phase, and compares them with the
-recorded ones entry by entry and key by key, counts such as
-``selected_triples`` included.  No report field is taken on the solver's
-word, and a report key the recomputation does not produce is named too.
-The phase shapes and spanning are certificate inequalities, so `solve` and
-`verify` check one list.
+and the solver's report.  Verification trusts only the instance and those two
+arrays: it validates the parent array, recomputes the phase array and the
+report from the two arrays with the code the solver used (`SolveReport.certify`
+and the pipeline's record in `certificates.PIPELINES`), building no phase, and
+compares them with the recorded ones entry by entry and key by key, counts
+such as ``selected_triples`` included.  No report field is taken on the
+solver's word, and a report key the recomputation does not produce is named
+too.  The phase shapes and spanning are certificate inequalities, so `solve`
+and `verify` check one list.  `leafspan verify` reads the instance with
+``ordered=False``: it re-checks that the instance is a rooted DAG, as every
+bound assumes, but builds no topological order.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ def read_solution(path: PathLike) -> dict:
     if not _same(obj.get("version"), VERSION):
         raise ParseError(f"{path}: unsupported solution version {obj.get('version')!r}")
     parent, phase = obj.get("parent"), obj.get("phase")
-    if not isinstance(parent, list) or not all(p is None or type(p) is int for p in parent):
+    # by the set of element types, so True and 0.0 fail as not of type int
+    if not isinstance(parent, list) or not set(map(type, parent)) <= {int, type(None)}:
         raise ParseError(f"{path}: 'parent' must be an array of integers and nulls")
-    if not isinstance(phase, list) or not all(type(i) is int for i in phase):
+    if not isinstance(phase, list) or not set(map(type, phase)) <= {int}:
         raise ParseError(f"{path}: 'phase' must be an array of integers")
     return obj
 
@@ -77,8 +79,8 @@ def verify_solution(d: Digraph, solution: dict) -> list[str]:
         return problems
 
     phase, count = solution.get("phase"), len(pipeline.phases)
-    if not (isinstance(phase, list) and len(phase) == n
-            and all(type(i) is int and 0 <= i < count for i in phase)):
+    if not (isinstance(phase, list) and len(phase) == n  # so n >= 1 entries for min and max
+            and set(map(type, phase)) == {int} and 0 <= min(phase) and max(phase) < count):
         problems.append(f"phase must be {n} indices in [0, {count})")
         return problems
 

@@ -16,6 +16,9 @@ a phase array.  `random_dag_corpus` and `random_edges` supply seeded inputs
 for property tests, and `add_expansion` builds branchings by hand.
 `digraph_arcs` and `branching_arcs` list the arcs of a digraph and of a
 branching.
+`reference_from_parents` rebuilds a branching from a parent array through
+the list of its ``(parent, child)`` pairs, as `Branching.from_parents` did
+before it handed `Branching.from_arcs` a lazy iterator.
 `reference_exact_max_leaves` is the exact oracle with its cost prune
 alone, and the `reference_*_bound` functions are the certificate bounds
 written as sums of `Fraction` terms.
@@ -491,6 +494,14 @@ def reference_max_leaves_packing(d: Digraph, packer: Packer) -> tuple[Branching,
         phases.append(Branching.from_arcs(d, branching_arcs(phases[-1]) + added))
     t = attach(phases[-1])
     return t, reference_certify(PIPELINES[f"w3dm-{packer.name}"], [*phases, t])
+
+
+def reference_from_parents(host: Digraph, parents: Sequence[Optional[int]]) -> Branching:
+    """Twin of `Branching.from_parents` that hands `from_arcs` a list of ``(p, v)`` pairs."""
+    if not isinstance(parents, Sequence) or len(parents) != host.vertex_count:
+        raise MalformedInput(f"parent array must be a sequence of length "
+                             f"{host.vertex_count}, got {parents!r:.20}")
+    return Branching.from_arcs(host, [(p, v) for v, p in enumerate(parents) if p is not None])
 
 
 def phase_prefixes(d: Digraph, parent: Sequence, phase: Sequence[int],

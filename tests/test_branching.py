@@ -23,6 +23,7 @@ from oracles import (
     brute_force_is_maximal,
     phase_prefixes,
     random_dag_corpus,
+    reference_from_parents,
 )
 
 
@@ -289,3 +290,49 @@ def test_from_arcs_rejects_a_second_parent():
     with pytest.raises(MalformedInput, match="two parents"):
         Branching.from_arcs(d, [(0, 2), (1, 2)])
     assert Branching.from_arcs(d, [(1, 2), (0, 1)]).parent == [None, 0, 1]
+
+
+def parents_outcome(build, d, parents):
+    """The arrays ``build(d, parents)`` gives, or the message it raises."""
+    try:
+        b = build(d, parents)
+    except MalformedInput as e:
+        return f"MalformedInput: {e}"
+    return b.parent, b.out_degree
+
+
+def corrupted(d, parent, rng):
+    """``parent`` with one child's entry replaced by each kind of bad tail."""
+    n = d.vertex_count
+    child = rng.choice([v for v, p in enumerate(parent) if p is not None])
+    strangers = [u for u in range(n) if child not in d.out_adj[u] and u != child]
+    for tail in [-1, n, True, 1.0, "0", child] + rng.sample(strangers, min(2, len(strangers))):
+        yield parent[:child] + [tail] + parent[child + 1:]
+    yield parent[:child] + [None] + parent[child + 1:]
+
+
+def test_from_parents_matches_the_pair_list_path():
+    # from_parents hands from_arcs a lazy iterator of the (p, v) pairs; the
+    # list of those pairs it built before gives the same arrays and messages
+    rng = random.Random(31)
+    cases = []
+    for d in random_dag_corpus(40, 2, 60, seed=31):
+        for name, pipeline in PIPELINES.items():
+            try:
+                t, _ = pipeline.solve(leafspan.cli, d)
+            except TooLarge:
+                continue
+            cases += [(d, t.parent), *((d, p) for p in corrupted(d, t.parent, rng))]
+    # root 0 has the 20 heads 1..20, so its list is bisected: 20 is its last
+    # head, and 21, one past it, reaches the bound of the bisection
+    hub = build_digraph(22, 0, [(0, h) for h in range(1, 21)] + [(20, 21)])
+    tree = [None] + [0] * 20 + [20]
+    cases += [(hub, tree), (hub, tree[:21] + [0]), (hub, tree[:20] + [21, 20]),
+              (hub, tree[:20] + [None, 20]), (hub, [None, True] + tree[2:]),
+              (hub, tree[:-1]), (hub, None), (hub, "x" * 22)]
+    outcomes = [parents_outcome(Branching.from_parents, d, p) for d, p in cases]
+    assert outcomes == [parents_outcome(reference_from_parents, d, p) for d, p in cases]
+    messages = {o for o in outcomes if isinstance(o, str)}
+    assert len(outcomes) > 1000 and len(messages) > 100
+    assert {"MalformedInput: arc (0, 21) not in host digraph",
+            "MalformedInput: arc (True, 1) not in host digraph"} <= messages

@@ -7,16 +7,18 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import leafspan.cli
+import leafspan.graph
 from leafspan import Branching, Digraph, build_digraph, read_instance, write_instance
 from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, build_parser, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
-from oracles import phase_prefixes
+from oracles import instance_v1, phase_prefixes
 
 
 def run(*argv):
@@ -516,6 +518,36 @@ def test_forged_root_phase_fails_verify(tmp_path, capsys, algo):
     assert err == f"verify: phase[{root}] is 1, recomputation gives 0\n"
 
 
+PHASE_FAULTS = {
+    "count": lambda phase: phase[:2] + [3] + phase[3:],
+    "seven": lambda phase: phase[:2] + [7] + phase[3:],
+    "minus_one": lambda phase: phase[:2] + [-1] + phase[3:],
+    "short": lambda phase: phase[:-1],
+    "true": lambda phase: phase[:2] + [True] + phase[3:],
+    "float": lambda phase: phase[:2] + [2.0] + phase[3:],
+}
+
+
+@pytest.mark.parametrize("fault", list(PHASE_FAULTS))
+def test_phase_outside_its_pipelines_range_fails_verify(tmp_path, capsys, fault):
+    # vertex 2 of this maxleaves solution is in T, index 2 of three phases;
+    # an index out of [0, 3) or an array of the wrong length is named as
+    # such, in a file and in a solution handed to verify_solution
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=30, p=0.1, seed=0)
+    assert obj["phase"][2] == 2 and len(obj["phase"]) == 30
+    obj["phase"] = PHASE_FAULTS[fault](obj["phase"])
+    message = "phase must be 30 indices in [0, 3)"
+    assert verify_solution(read_instance(inst), obj) == [message]
+    if fault in ("true", "float"):
+        # a file's phase entries are type-checked when it is read
+        sol.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 3
+        assert capsys.readouterr().err == f"error: {sol}: 'phase' must be an array of integers\n"
+    else:
+        assert verify_diagnostics(capsys, inst, sol, obj) == f"verify: {message}\n"
+
+
 def test_forged_claimed_alpha_fails_verify(tmp_path, capsys):
     inst, sol, obj = solved(tmp_path, "w3dm-greedy")
     rep = obj["report"]
@@ -681,6 +713,29 @@ def test_solve_and_verify_never_build_in_adj(tmp_path, monkeypatch, shape):
         # the random instance leaves vertices for attach, whose phase is T's
         attaches = phase.count(len(PIPELINES[algo].phases) - 1)
         assert attaches > 0 if shape == "random" else attaches == 0, attaches
+
+
+def test_verify_runs_no_heap_pass_but_solve_needs_it(tmp_path, monkeypatch):
+    # verify checks that the instance is a rooted DAG with the list pass and
+    # reads no topological order; solve walks the order the heap pass builds
+    inst = gen_random(tmp_path, n=12, p=0.3, seed=2)
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps(instance_v1(read_instance(inst))))
+    for algo in ALGORITHMS:
+        assert run("solve", "--algo", algo, "--input", str(inst),
+                   "--output", str(tmp_path / f"{algo}.json")) == 0
+
+    def refuse(*args):
+        raise AssertionError("heap pass run")
+
+    monkeypatch.setattr(leafspan.graph, "heapq", SimpleNamespace(heappop=refuse, heappush=refuse))
+    for algo in ALGORITHMS:
+        for path in (inst, v1):
+            assert run("verify", "--instance", str(path),
+                       "--solution", str(tmp_path / f"{algo}.json")) == 0
+    with pytest.raises(AssertionError, match="heap pass run"):
+        run("solve", "--algo", "maxleaves", "--input", str(inst),
+            "--output", str(tmp_path / "again.json"))
 
 
 @pytest.fixture

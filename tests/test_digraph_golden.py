@@ -5,8 +5,10 @@
 shuffled as a list of tuples, the same as a tuple, as a list of 2-item lists
 and as a generator.  It also holds the exact exception class and message for
 each malformed input below, so a change to the build keeps which error wins
-when an input has several faults.  Re-record with
-``python tests/test_digraph_golden.py``.
+when an input has several faults.  Both validators are held to the same
+record: the heap pass of ``ordered=True`` and the list pass of
+``ordered=False``, whose ``order`` is then computed on first read.
+Re-record with ``python tests/test_digraph_golden.py``.
 """
 
 import hashlib
@@ -14,6 +16,8 @@ import json
 import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from leafspan import LeafspanError, build_digraph
 from oracles import digraph_arcs, random_dag_corpus
@@ -47,43 +51,71 @@ ERRORS = {
 }
 
 
-def graph_digests() -> dict:
+def graph_digests(ordered: bool = True) -> dict:
     result = {}
     for i, d in enumerate(random_dag_corpus(80, 1, 150, seed=21)):
         arcs = list(digraph_arcs(d))
         random.Random(i).shuffle(arcs)
         for kind, shape in INPUTS.items():
-            g = build_digraph(d.vertex_count, d.root, shape(arcs))
+            g = build_digraph(d.vertex_count, d.root, shape(arcs), ordered=ordered)
             blob = json.dumps([g.out_adj, g.in_adj, g.order])
             result[f"{i}-n{d.vertex_count}-{kind}"] = hashlib.sha256(blob.encode()).hexdigest()[:24]
     return result
 
 
-def error_messages() -> dict:
-    result = {}
-    for name, (n, root, arcs) in ERRORS.items():
-        try:
-            build_digraph(n, root, arcs)
-        except LeafspanError as e:
-            result[name] = f"{type(e).__name__}: {e}"
-        else:
-            result[name] = "no error"
-    return result
+def outcome(n, root, arcs, ordered: bool = True) -> str:
+    try:
+        build_digraph(n, root, arcs, ordered=ordered)
+    except LeafspanError as e:
+        return f"{type(e).__name__}: {e}"
+    return "no error"
+
+
+def error_messages(ordered: bool = True) -> dict:
+    return {name: outcome(*case, ordered) for name, case in ERRORS.items()}
 
 
 def record() -> dict:
     return {"graphs": graph_digests(), "errors": error_messages()}
 
 
-def test_graphs_match_golden():
+@pytest.mark.parametrize("ordered", [True, False])
+def test_graphs_match_golden(ordered):
     golden = json.loads(GOLDEN.read_text())["graphs"]
-    got = graph_digests()
+    got = graph_digests(ordered)
     assert got.keys() == golden.keys()
     assert [k for k in golden if got[k] != golden[k]] == []
 
 
-def test_errors_match_golden():
-    assert error_messages() == json.loads(GOLDEN.read_text())["errors"]
+@pytest.mark.parametrize("ordered", [True, False])
+def test_errors_match_golden(ordered):
+    assert error_messages(ordered) == json.loads(GOLDEN.read_text())["errors"]
+
+
+def broken_dags(seed: int):
+    """Seeded rooted DAGs, each made invalid once: ``("cycle", n, root, arcs)``
+    with one back arc from a descendant to an ancestor, and ``("source", ...)``
+    with one extra vertex whose arcs lead into the DAG."""
+    rng = random.Random(seed)
+    for d in random_dag_corpus(60, 2, 120, seed=seed):
+        n, arcs = d.vertex_count, list(digraph_arcs(d))
+        u, v = rng.choice(arcs)
+        z = v  # walk down from v, so u reaches z and (z, u) closes a cycle
+        while d.out_adj[z] and rng.random() < 0.8:
+            z = rng.choice(d.out_adj[z])
+        yield "cycle", n, d.root, arcs + [(z, u)]
+        heads = rng.sample(range(n), rng.randint(1, min(n, 3)))
+        yield "source", n + 1, d.root, arcs + [(n, h) for h in heads]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_both_validators_raise_alike_on_a_cycle_or_a_second_source(seed):
+    for kind, n, root, arcs in broken_dags(seed):
+        # the extra source has the largest id, so it is the one named
+        want = ("CycleDetected: input contains a directed cycle" if kind == "cycle"
+                else f"NotRooted: vertex {n - 1} unreachable from root {root}")
+        assert outcome(n, root, arcs, ordered=True) == want
+        assert outcome(n, root, arcs, ordered=False) == want
 
 
 if __name__ == "__main__":
