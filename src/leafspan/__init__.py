@@ -13,12 +13,11 @@ from .errors import (
     LeafspanError,
     MalformedInput,
     NotRooted,
-    NotTBranching,
     ParseError,
     PreconditionViolated,
     TooLarge,
 )
-from .graph import Digraph, build_digraph, topological_order
+from .graph import Digraph, build_digraph
 from .instances import (
     UndirectedGraphInstance,
     gen_adversarial_family,
@@ -73,7 +72,6 @@ __all__ = [
     "pack_greedy",
     "read_instance",
     "reduce_independent_set",
-    "topological_order",
     "write_dot",
     "write_instance",
     "CycleDetected",
@@ -81,7 +79,6 @@ __all__ = [
     "LeafspanError",
     "MalformedInput",
     "NotRooted",
-    "NotTBranching",
     "ParseError",
     "PreconditionViolated",
     "TooLarge",

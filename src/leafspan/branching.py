@@ -15,7 +15,7 @@ from itertools import compress, count, repeat
 from operator import is_not
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import MalformedInput, NotTBranching, PreconditionViolated
+from .errors import MalformedInput, PreconditionViolated
 from .graph import Arc, Digraph
 
 
@@ -138,18 +138,14 @@ class Branching:
             leaves=self.out_degree.count(0),
         )
 
-    def is_t_branching(self, t: int) -> bool:
-        """True iff every internal vertex has out-degree at least ``t``."""
-        _check_t(t)
-        return min(filter(None, self.out_degree), default=t) >= t
-
     def is_maximal(self, t: int) -> bool:
         """True iff no out-degree-0 vertex can still make a ``t``-expansion.
 
-        Raises NotTBranching when this value is not a ``t``-branching.
+        Raises PreconditionViolated when this value is not a ``t``-branching.
         """
-        if not self.is_t_branching(t):
-            raise NotTBranching(f"not a {t}-branching")
+        _check_t(t)
+        if min(filter(None, self.out_degree), default=t) < t:
+            raise PreconditionViolated(f"not a {t}-branching")
         return not any(len(heads) >= t for _, heads in self.free_heads(t))
 
     def is_spanning_arborescence(self) -> bool:

@@ -36,10 +36,6 @@ class PreconditionViolated(LeafspanError):
     """A solver phase was fed a branching it cannot legally extend."""
 
 
-class NotTBranching(PreconditionViolated):
-    """A branching does not meet the minimum internal out-degree."""
-
-
 class TooLarge(LeafspanError):
     """Instance exceeds the guard of an exhaustive/exact routine."""
 

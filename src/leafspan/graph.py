@@ -242,5 +242,8 @@ def build_digraph(
 
 
 def topological_order(d: Digraph) -> list[int]:
-    """Topological order of ``d`` starting at the root (see ``Digraph.order``)."""
+    """Topological order of ``d`` starting at the root (see ``Digraph.order``).
+
+    Not exported; it stays because ``attach`` and ``exact_max_leaves`` call it
+    and the benchmark tracer times those calls as ``solvers.topological_order``."""
     return list(d.order)

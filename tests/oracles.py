@@ -15,7 +15,7 @@ two arrays), and `phase_prefixes` builds those branchings from a parent and
 a phase array.  `random_dag_corpus` and `random_edges` supply seeded inputs
 for property tests, and `add_expansion` builds branchings by hand.
 `digraph_arcs` and `branching_arcs` list the arcs of a digraph and of a
-branching.
+branching, and `is_t_branching` checks a branching's shape by its definition.
 `reference_from_parents` rebuilds a branching from a parent array through
 the list of its ``(parent, child)`` pairs, as `Branching.from_parents` did
 before it handed `Branching.from_arcs` a lazy iterator.
@@ -49,7 +49,7 @@ from leafspan import (
     gen_random_rooted_dag,
 )
 from leafspan.certificates import PIPELINES, Pipeline, SolveReport
-from leafspan.graph import Arc, topological_order
+from leafspan.graph import Arc
 from leafspan.matching import Edge, _normalize_edges, max_matching
 from leafspan.packing import EXACT_SET_LIMIT
 from leafspan.solvers import _exact_guard
@@ -154,7 +154,7 @@ def reference_exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[i
     total = sum(weight)
 
     in_adj = d.in_adj  # built on first use: read once, not per search node
-    order = [v for v in topological_order(d) if v != d.root]
+    order = [v for v in d.order if v != d.root]
     forced = [v for v in order if len(in_adj[v]) == 1]
     choices = [v for v in order if len(in_adj[v]) > 1]
 
@@ -404,6 +404,11 @@ def available_heads(b: Branching, v: int) -> list[int]:
     return [u for u in b.host.out_adj[v] if b.parent[u] is None]
 
 
+def is_t_branching(b: Branching, t: int) -> bool:
+    """True iff every internal vertex of ``b`` has out-degree at least ``t``."""
+    return all(o == 0 or o >= t for o in b.out_degree)
+
+
 def brute_force_is_maximal(b: Branching, t: int) -> bool:
     """True iff no out-degree-0 vertex has ``t`` free heads; oracle twin of `is_maximal`.
 
@@ -515,7 +520,7 @@ def phase_prefixes(d: Digraph, parent: Sequence, phase: Sequence[int],
 def reference_certify(pipeline: Pipeline, phases: Sequence[Branching]) -> SolveReport:
     """The report on one branching per phase, the arborescence last; twin of `SolveReport.certify`.
 
-    Calls `Branching.stats` and `Branching.is_t_branching` on every phase and
+    Calls `Branching.stats` and `is_t_branching` on every phase and
     rebuilds the phase array from the branchings, one pass per phase.
     """
     stats = [b.stats() for b in phases]
@@ -526,7 +531,7 @@ def reference_certify(pipeline: Pipeline, phases: Sequence[Branching]) -> SolveR
     values: dict = {}
     for i, s in enumerate(stats[:-1], start=1):
         values[f"N{i}"], values[f"k{i}"] = s.N, s.k
-    inequalities = {f"{name} is a {t}-branching": b.is_t_branching(t)
+    inequalities = {f"{name} is a {t}-branching": is_t_branching(b, t)
                     for (name, t), b in zip(pipeline.phases, phases) if t > 1}
     inequalities["T is a spanning arborescence"] = tree.is_spanning_arborescence()
     identities = {}

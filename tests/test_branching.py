@@ -7,7 +7,6 @@ import leafspan.cli
 from leafspan import (
     Branching,
     MalformedInput,
-    NotTBranching,
     PreconditionViolated,
     TooLarge,
     build_digraph,
@@ -21,6 +20,7 @@ from oracles import (
     available_heads,
     branching_arcs,
     brute_force_is_maximal,
+    is_t_branching,
     phase_prefixes,
     random_dag_corpus,
     reference_from_parents,
@@ -96,9 +96,11 @@ def test_empty_branching_counters():
 
 
 def test_empty_branching_is_t_branching_for_all_t():
+    # is_maximal's precondition holds for every t: no vertex is internal
     b = Branching(star(3))
     for t in range(1, 6):
-        assert b.is_t_branching(t)
+        assert is_t_branching(b, t)
+        assert b.is_maximal(t) == (t > 3)
 
 
 def test_add_expansion_star():
@@ -128,10 +130,12 @@ def test_empty_branching_not_spanning_arborescence():
 
 
 def test_is_t_branching():
+    # is_maximal checks the t-branching shape first: 0 and 1 have two children each
     d = build_digraph(5, 0, [(0, 1), (0, 2), (1, 3), (1, 4)])
     b = add_expansion(add_expansion(Branching(d), 0, [1, 2]), 1, [3, 4])
-    assert b.is_t_branching(2)
-    assert not b.is_t_branching(3)
+    assert b.is_maximal(2)
+    with pytest.raises(PreconditionViolated, match="not a 3-branching"):
+        b.is_maximal(3)
 
 
 def test_is_maximal_star():
@@ -146,20 +150,23 @@ def test_is_maximal_star():
 def test_is_maximal_requires_t_branching():
     d = star(3)
     b = add_expansion(Branching(d), 0, [1, 2, 3])
-    with pytest.raises(NotTBranching):
+    with pytest.raises(PreconditionViolated, match="not a 4-branching"):
         b.is_maximal(4)
 
 
 @pytest.mark.parametrize("t", ["3", 1.5, True, 0], ids=["string", "float", "bool", "zero"])
-@pytest.mark.parametrize("scan", ["free_heads", "is_t_branching", "is_maximal"])
+@pytest.mark.parametrize("scan", ["free_heads", "greedy_expand", "is_maximal"])
 def test_scans_reject_a_t_that_is_not_a_positive_integer(scan, t):
-    # is_t_branching("3") once returned True, is_maximal("3") raised TypeError
-    # and free_heads(1.5) ran as if t were a number
+    # is_maximal("3") once raised TypeError and free_heads(1.5) ran as if t
+    # were a number; greedy_expand runs the same check before its pass
     b = Branching(star(3))
     with pytest.raises(PreconditionViolated, match="t must be a positive integer"):
-        result = getattr(b, scan)(t)
-        if scan == "free_heads":
-            list(result)  # a generator checks t on its first step
+        if scan == "greedy_expand":
+            greedy_expand(b.host, t)
+        else:
+            result = getattr(b, scan)(t)
+            if scan == "free_heads":
+                list(result)  # a generator checks t on its first step
 
 
 def test_scan_matches_brute_force_on_random_branchings():
@@ -187,8 +194,8 @@ def test_scan_matches_brute_force_on_random_branchings():
                     (v, available_heads(b, v)) for v in range(d.vertex_count)
                     if b.out_degree[v] == 0 and len(d.out_adj[v]) >= t
                 ]
-                if not b.is_t_branching(t):
-                    with pytest.raises(NotTBranching):
+                if not is_t_branching(b, t):
+                    with pytest.raises(PreconditionViolated, match=f"not a {t}-branching"):
                         b.is_maximal(t)
                     continue
                 maximal = b.is_maximal(t)
@@ -257,10 +264,13 @@ def test_stats_match_independent_recount_on_every_phase_solved_and_verified(monk
         for (name, t), b in zip(pipeline.phases, prefixes):
             assert_stats_match_recount(b)
             if t > 1:
-                assert report.inequalities[f"{name} is a {t}-branching"] == all(
-                    o == 0 or o >= t for o in b.out_degree)
+                assert report.inequalities[f"{name} is a {t}-branching"] == is_t_branching(b, t)
             for s in range(1, 6):
-                assert b.is_t_branching(s) == all(o == 0 or o >= s for o in b.out_degree)
+                if is_t_branching(b, s):
+                    b.is_maximal(s)  # its precondition holds
+                else:
+                    with pytest.raises(PreconditionViolated, match=f"not a {s}-branching"):
+                        b.is_maximal(s)
 
 
 @pytest.mark.parametrize("arc", [(0, -1), (0, 3), (0, 7), (-3, 1), (2, 1), (1, 1),

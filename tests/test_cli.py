@@ -18,7 +18,7 @@ from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, build_parser, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
-from oracles import instance_v1, phase_prefixes
+from oracles import instance_v1, is_t_branching, phase_prefixes
 
 
 def run(*argv):
@@ -281,6 +281,50 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "weights must be nonnegative integers" in err and "Traceback" not in err
 
 
+# each body stops at the fault it carries, not at an earlier check; the CI
+# step that runs the installed command checks the same bodies
+MALFORMED_INSTANCES = {
+    "v1-arcs-not-iterable": ('"version":1,"n":2,"root":0,"arcs":5',
+                             "arcs 5 and weights None must be iterable"),
+    "v1-n-bool": ('"version":1,"n":true,"root":0,"arcs":[[0,1]]',
+                  "vertex_count must be an integer >= 1, got True"),
+    "v1-no-root": ('"version":1,"n":2,"arcs":[[0,1]]', "root None out of range [0, 2)"),
+    "v1-weights-not-iterable": ('"version":1,"n":2,"root":0,"arcs":[[0,1]],"weights":7',
+                                "arcs [[0, 1]] and weights 7 must be iterable"),
+    "v2-out-not-list": ('"version":2,"n":3,"root":0,"out":5',
+                        "out must be a list of head lists, got 5"),
+    "v2-descending": ('"version":2,"n":3,"root":0,"out":[[2,1],[],[]]',
+                      "heads of 0 are not ascending: 1 after 2"),
+    "v2-self-loop": ('"version":2,"n":1,"root":0,"out":[[0]]',
+                     "arc (0, 0) is not a pair of distinct integer vertex ids in [0, 1)"),
+    "v2-duplicate-arc": ('"version":2,"n":2,"root":0,"out":[[1,1],[]]', "duplicate arc (0, 1)"),
+    "v2-short-out": ('"version":2,"n":3,"root":0,"out":[[1]]', "out has length 1, expected 3"),
+    "v2-cycle": ('"version":2,"n":3,"root":0,"out":[[1],[2],[1]]',
+                 "input contains a directed cycle"),
+    "v2-second-source": ('"version":2,"n":4,"root":0,"out":[[1],[3],[3],[]]',
+                         "vertex 2 unreachable from root 0"),
+}
+
+
+@pytest.mark.parametrize("fault", list(MALFORMED_INSTANCES))
+def test_malformed_instance_exits_3_with_one_line_from_solve_and_verify(tmp_path, capsys, fault):
+    # solve validates the instance with the heap pass, verify with the list
+    # pass: both must name the same fault in the same line
+    body, message = MALFORMED_INSTANCES[fault]
+    sol = tmp_path / "sol.json"
+    assert run("solve", "--algo", "maxleaves", "--input", str(gen_random(tmp_path)),
+               "--output", str(sol)) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text("{" + body + "}")
+    capsys.readouterr()
+    assert run("solve", "--algo", "maxleaves", "--input", str(bad),
+               "--output", str(tmp_path / "bad.sol.json")) == 3
+    solve_err = capsys.readouterr().err
+    assert run("verify", "--instance", str(bad), "--solution", str(sol)) == 3
+    verify_err = capsys.readouterr().err
+    assert solve_err == verify_err == f"error: {bad}: {message}\n"
+
+
 def test_exact_guard_exits_2(tmp_path):
     inst = gen_random(tmp_path, n=200, p=0.3, seed=1)
     sol = tmp_path / "sol.json"
@@ -499,7 +543,7 @@ def test_expansion_moved_into_the_pairs_phase_fails_verify(
         phase[v] += 1
     d = read_instance(inst)
     phases = phase_prefixes(d, obj["parent"], phase, len(pipeline.phases))
-    assert all(f.is_t_branching(t_min) for f, (_, t_min) in zip(phases, pipeline.phases))
+    assert all(is_t_branching(f, t_min) for f, (_, t_min) in zip(phases, pipeline.phases))
     obj["report"] = {**SolveReport.certify(pipeline, phases[-1], phase).to_dict(),
                      "certificate_ok": True}
     err = verify_diagnostics(capsys, inst, sol, obj)
