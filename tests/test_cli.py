@@ -13,12 +13,20 @@ import pytest
 
 import leafspan.cli
 import leafspan.graph
-from leafspan import Branching, Digraph, build_digraph, read_instance, write_instance
+from leafspan import (
+    Branching,
+    Digraph,
+    UndirectedGraphInstance,
+    build_digraph,
+    read_instance,
+    reduce_independent_set,
+    write_instance,
+)
 from leafspan.certificates import PIPELINES, SolveReport, packing_upper_bound
 from leafspan.cli import ALGORITHMS, CSV_HEADER, build_parser, main
 from leafspan.solvers import max_leaves
 from leafspan.verify import verify_solution
-from oracles import instance_v1, is_t_branching, phase_prefixes
+from oracles import brute_force_max_independent_set, instance_v1, is_t_branching, phase_prefixes
 
 
 def run(*argv):
@@ -38,6 +46,9 @@ def gen_random(tmp_path, name="inst.json", n=12, p=0.3, seed=2):
 
 def test_gen_solve_verify_round_trip(tmp_path):
     inst = gen_random(tmp_path)
+    # gen writes format 2: head lists, not arc pairs
+    text = inst.read_text(encoding="utf-8")
+    assert '"version":2' in text and "out" in json.loads(text)
     sol = tmp_path / "sol.json"
     assert run("solve", "--algo", "maxleaves",
                "--input", str(inst), "--output", str(sol)) == 0
@@ -53,6 +64,19 @@ def test_every_algorithm_verifies(tmp_path, algo):
     assert run("solve", "--algo", algo,
                "--input", str(inst), "--output", str(sol)) == 0
     assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
+
+
+def test_complete_dag_solves_and_verifies_within_the_guards(tmp_path):
+    # p = 1: every forward pair is an arc; only exact's search space is over its guard
+    inst = gen_random(tmp_path, "dense.json", n=60, p=1)
+    for algo in ALGORITHMS:
+        sol = tmp_path / f"{algo}.json"
+        code = run("solve", "--algo", algo, "--input", str(inst), "--output", str(sol))
+        if algo == "exact":
+            assert code == 2
+        else:
+            assert code == 0
+            assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path):
@@ -281,8 +305,9 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "weights must be nonnegative integers" in err and "Traceback" not in err
 
 
-# each body stops at the fault it carries, not at an earlier check; the CI
-# step that runs the installed command checks the same bodies
+# each body stops at the fault it carries, not at an earlier check; this
+# table is the only copy of these bodies, and CI's run of the installed
+# command checks exit code 3 with one cyclic instance
 MALFORMED_INSTANCES = {
     "v1-arcs-not-iterable": ('"version":1,"n":2,"root":0,"arcs":5',
                              "arcs 5 and weights None must be iterable"),
@@ -330,6 +355,31 @@ def test_exact_guard_exits_2(tmp_path):
     sol = tmp_path / "sol.json"
     assert run("solve", "--algo", "exact",
                "--input", str(inst), "--output", str(sol)) == 2
+
+
+@pytest.mark.parametrize("algo, message", [
+    ("exact", "search space exceeds 100000000 parent functions"),
+    ("w3dm-exact", "60 sets exceeds guard of 40"),
+])
+def test_exact_solvers_refuse_over_their_guards_with_one_line(tmp_path, capsys, algo, message):
+    inst = gen_random(tmp_path, n=200, p=0.01, seed=0)
+    capsys.readouterr()
+    assert run("solve", "--algo", algo, "--input", str(inst),
+               "--output", str(tmp_path / "sol.json")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exact_solve_of_an_independent_set_reduction_finds_its_maximum(tmp_path):
+    # the best leaf weight of the reduction is the graph's maximum independent set
+    edges = [(0, 1), (0, 2), (1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6), (5, 7), (6, 7),
+             (1, 6), (0, 7)]
+    g = UndirectedGraphInstance.build(8, edges)
+    inst, sol = tmp_path / "mis.json", tmp_path / "mis.sol.json"
+    write_instance(reduce_independent_set(g), inst)
+    assert run("solve", "--algo", "exact", "--input", str(inst), "--output", str(sol)) == 0
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
+    best, _ = brute_force_max_independent_set(g)
+    assert json.loads(sol.read_text())["report"]["leaf_weight"] == best == 3
 
 
 def test_bench_csv(tmp_path):
@@ -426,7 +476,12 @@ def test_bench_deterministic_modulo_timing(tmp_path):
             row.pop("millis")
         return rows
 
-    assert snapshot("one.csv") == snapshot("two.csv")
+    rows = snapshot("one.csv")
+    assert rows == snapshot("two.csv")
+    # every row is certified and has a ratio, and the exact row's ratio is 1
+    assert [r["algorithm"] for r in rows] == list(ALGORITHMS)
+    assert all(r["certificate_ok"] == "True" and r["ratio"] for r in rows)
+    assert [r["ratio"] for r in rows if r["algorithm"] == "exact"] == ["1"]
 
 
 @pytest.mark.parametrize("flags", [["--generator", "random", "--n", "0"],

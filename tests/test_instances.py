@@ -552,11 +552,14 @@ def format_corpus():
 
 
 def test_both_formats_read_and_solve_the_same(tmp_path):
-    """A graph in a version 1 file and in a version 2 file reads to the same
-    graph, and `leafspan solve` writes the same bytes from either file."""
+    """A graph in a version 1 file, its arcs in reverse order, and in a
+    version 2 file reads to the same graph, `leafspan solve` writes the same
+    bytes from either file, and `leafspan verify` accepts each solution
+    against the file it came from."""
     v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
     for d in format_corpus():
-        write_json_object(v1, instance_v1(d))
+        obj = instance_v1(d)
+        write_json_object(v1, {**obj, "arcs": obj["arcs"][::-1]})
         write_instance(d, v2)
         assert graph_fields(read_instance(v1)) == graph_fields(read_instance(v2)) == graph_fields(d)
         for algo in ALGORITHMS:
@@ -565,6 +568,8 @@ def test_both_formats_read_and_solve_the_same(tmp_path):
                 sol = tmp_path / f"{inst.stem}.sol.json"
                 code = main(["solve", "--algo", algo, "--input", str(inst), "--output", str(sol)])
                 solutions.append((code, sol.read_bytes() if code == 0 else None))
+                if code == 0:
+                    assert main(["verify", "--instance", str(inst), "--solution", str(sol)]) == 0
             assert solutions[0] == solutions[1]
 
 
