@@ -36,15 +36,15 @@ PathLike = Union[str, Path]
 class UndirectedGraphInstance:
     """A simple undirected graph: vertices 0..n-1, normalized edge tuples.
 
-    The constructor validates and normalizes: repeated edges merge in either
-    orientation, and the edges are stored sorted as ``(u, v)`` with ``u < v``.
+    The constructor validates and normalizes: edges are stored sorted as
+    ``(u, v)`` with ``u < v``, and repeats merge (`max_matching` refuses them).
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(_normalize_edges(self.vertex_count, self.edges, merge_repeats=True))
+        edges = tuple(dict.fromkeys(_normalize_edges(self.vertex_count, self.edges)))
         object.__setattr__(self, "edges", edges)
 
     @classmethod

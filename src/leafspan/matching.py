@@ -17,20 +17,17 @@ from .errors import MalformedInput, require_int
 Edge = tuple[int, int]
 
 
-def _normalize_edges(
-    vertex_count: int, edges: Iterable[Edge], merge_repeats: bool = False
-) -> list[Edge]:
-    """Sorted ``(u, v)`` edges with ``u < v``.
+def _normalize_edges(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
+    """Sorted ``(u, v)`` edges with ``u < v``, repeats kept as given.
 
     Raises MalformedInput unless ``vertex_count`` is an int >= 0 and ``edges``
-    yields pairs of distinct int ids in range, and for a repeated edge unless
-    ``merge_repeats`` keeps one copy.
+    yields pairs of distinct int ids in range.  The caller rules on a repeated
+    edge: `max_matching` refuses it, `UndirectedGraphInstance` merges it.
     """
     require_int("vertex_count", vertex_count, 0)
     if not isinstance(edges, Iterable):
         raise MalformedInput(f"edges must be an iterable of pairs, got {edges!r:.20}")
     out: list[Edge] = []
-    seen: set[Edge] = set()
     for edge in edges:
         try:
             u, v = edge
@@ -40,13 +37,7 @@ def _normalize_edges(
             raise MalformedInput(f"edge {edge!r:.60} is not a pair of ids in [0, {vertex_count})")
         if u == v:
             raise MalformedInput(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            if merge_repeats:
-                continue
-            raise MalformedInput(f"duplicate edge {key}")
-        seen.add(key)
-        out.append(key)
+        out.append((u, v) if u < v else (v, u))
     out.sort()
     return out
 
@@ -154,12 +145,16 @@ def max_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
 
     Args:
         vertex_count: vertices are 0..vertex_count-1.
-        edges: unordered simple edges; self-loops and duplicates are rejected.
+        edges: unordered simple edges; self-loops and repeats are rejected.
 
     Returns:
         Sorted list of matched edges as ``(u, v)`` with ``u < v``.
     """
     edge_list = _normalize_edges(vertex_count, edges)
+    # a repeat sorts next to its twin, so the first equal pair is the smallest
+    for a, b in zip(edge_list, edge_list[1:]):
+        if a == b:
+            raise MalformedInput(f"duplicate edge {a}")
     adj: list[list[int]] = [[] for _ in range(vertex_count)]
     # the edges come sorted, so every adjacency list comes out sorted too
     for u, v in edge_list:

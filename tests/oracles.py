@@ -62,9 +62,15 @@ INDEPENDENT_SET_VERTEX_LIMIT = 20
 def brute_force_matching(vertex_count: int, edges: Iterable[Edge]) -> list[Edge]:
     """Maximum matching by exhaustive search; oracle twin of `max_matching`.
 
-    Raises TooLarge when the edge count exceeds ``BRUTE_FORCE_EDGE_LIMIT``.
+    Raises MalformedInput for a repeated edge, as `max_matching` does, and
+    TooLarge when the edge count exceeds ``BRUTE_FORCE_EDGE_LIMIT``.
     """
     edge_list = _normalize_edges(vertex_count, edges)
+    seen: set[Edge] = set()
+    for edge in edge_list:
+        if edge in seen:
+            raise MalformedInput(f"duplicate edge {edge}")
+        seen.add(edge)
     if len(edge_list) > BRUTE_FORCE_EDGE_LIMIT:
         raise TooLarge(
             f"{len(edge_list)} edges exceeds guard of {BRUTE_FORCE_EDGE_LIMIT}"

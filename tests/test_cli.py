@@ -221,6 +221,30 @@ def test_tampered_leaf_count_fails_verify(tmp_path):
     assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 1
 
 
+def test_failed_certificate_exits_1_and_writes_a_solution_verify_refuses(
+        tmp_path, capsys, monkeypatch):
+    inst = gen_random(tmp_path, n=40, p=0.1, seed=0)
+    sol = tmp_path / "sol.json"
+    trees = []
+
+    def one_phase(d):
+        # the solver's own tree, but every vertex filed in phase 0, so F1 and
+        # F2 are the whole tree and neither is a t-branching
+        t, _ = max_leaves(d)
+        trees.append(t)
+        return t, SolveReport.certify(PIPELINES["maxleaves"], t, [0] * d.vertex_count)
+
+    monkeypatch.setattr(leafspan.cli, "max_leaves", one_phase)
+    capsys.readouterr()
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst), "--output", str(sol)) == 1
+    assert capsys.readouterr().err == f"certificate failed for {inst}\n"
+    assert json.loads(sol.read_text())["parent"] == trees[0].parent
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"verify: certificate inequality fails: {name}"
+        for name in ("F1 is a 3-branching", "F2 is a 2-branching")]
+
+
 def test_usage_error_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         run("solve", "--algo", "no-such-algo",

@@ -128,3 +128,22 @@ def test_counter_sees_every_search_node():
     d = build_digraph(4, 0, [(0, 1), (0, 2), (1, 3), (2, 3)])
     for search in (reference_exact_max_leaves, exact_max_leaves):
         assert run_counted(search, d, "leaves") == ((2, [None, 0, 0, 1]), 3)
+
+
+def pair_family(k):
+    """Root 0 points at a_1..a_2k (ids 1..2k); b_i (id 2k + i) has the
+    in-neighbours a_{2i-1} and a_{2i}.  No two b share a parent, so no parent
+    is ever in use when a choice is made, and only the family bound prunes."""
+    arcs = [(0, a) for a in range(1, 2 * k + 1)]
+    arcs += [(a, 2 * k + i) for i in range(1, k + 1) for a in (2 * i - 1, 2 * i)]
+    return build_digraph(3 * k + 1, 0, arcs)
+
+
+def test_family_bound_prunes_where_nothing_else_can():
+    # 2^16 parent functions, inside the guard; without the bound the search
+    # visits all 2^17 - 1 nodes, with or without a rule for parents in use
+    k = 16
+    (value, parent), nodes = run_counted(exact_max_leaves, pair_family(k), "leaves")
+    assert value == 2 * k
+    assert parent == [None] + [0] * (2 * k) + list(range(1, 2 * k, 2))
+    assert nodes <= 2 * k + 1

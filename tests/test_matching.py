@@ -63,6 +63,16 @@ def test_rejects_bad_edges():
         max_matching(3, [(0, 4)])
 
 
+def test_every_edge_is_checked_before_repeats_and_the_smallest_repeat_is_named():
+    with pytest.raises(MalformedInput, match=r"^edge \(0, 9\) is not a pair"):
+        max_matching(6, [(0, 1), (1, 0), (0, 9)])
+    with pytest.raises(MalformedInput, match=r"^duplicate edge \(0, 1\)$"):
+        max_matching(4, [(2, 3), (3, 2), (1, 0), (0, 1)])
+    # the oracle twin refuses a repeat too; only the instance type merges it
+    with pytest.raises(MalformedInput):
+        brute_force_matching(3, [(0, 1), (1, 0)])
+
+
 @pytest.mark.parametrize("edge", [(0.0, 1), (0, "1"), (True, 2), (0, 1, 2), (0,), 5, None],
                          ids=["float", "str", "bool", "triple", "single", "int", "none"])
 def test_rejects_non_int_ids(edge):
