@@ -9,7 +9,6 @@ independent-set reduction, and JSON/DOT serialization.
 from .branching import Branching, BranchingStats
 from .errors import (
     CycleDetected,
-    IllegalExpansion,
     LeafspanError,
     MalformedInput,
     NotRooted,
@@ -75,7 +74,6 @@ __all__ = [
     "write_dot",
     "write_instance",
     "CycleDetected",
-    "IllegalExpansion",
     "LeafspanError",
     "MalformedInput",
     "NotRooted",

@@ -28,12 +28,8 @@ class NotRooted(LeafspanError):
     """Some vertex is unreachable from the designated root."""
 
 
-class IllegalExpansion(LeafspanError):
-    """A packer selected a set it was not offered, or two sets that overlap."""
-
-
 class PreconditionViolated(LeafspanError):
-    """A solver phase was fed a branching it cannot legally extend."""
+    """A branching a phase cannot extend, a packer with no row, or sets it was not offered."""
 
 
 class TooLarge(LeafspanError):

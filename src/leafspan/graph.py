@@ -9,8 +9,8 @@ above the one before it, not the tail) and counts it at its head.  When the
 walk finds a fault, the one reported is the first head that is not an id in
 range, else the first self-loop, else the first list out of order, where a
 head equal to the one before it is a duplicate arc.
-`build_digraph` takes arcs instead: it checks each one, files it under its
-tail, sorts each list and hands them to the same validator.
+`build_digraph` takes arcs: it checks each, files it under its tail, sorts
+each list and hands them, with the weights unread, to the same validator.
 
 The graph must be simple, acyclic and rooted; the Kahn pass that checks this
 computes the smallest-id-first topological order, which every solver phase
@@ -36,15 +36,10 @@ def _check_root(vertex_count: object, root: object) -> None:
         raise MalformedInput(f"root {root!r:.20} out of range [0, {vertex_count})")
 
 
-def _check_size(vertex_count: int, arc_count: int, weights: Optional[list]) -> None:
-    """The checks made before any list of length n exists, so a declared n cannot size memory."""
+def _check_size(vertex_count: int, arc_count: int) -> None:
+    """The check made before any list of length n exists, so a declared n cannot size memory."""
     if arc_count < vertex_count - 1:
         raise NotRooted(f"{arc_count} arcs cannot span {vertex_count} vertices")
-    if weights is not None:
-        if len(weights) != vertex_count:
-            raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
-        if any(type(w) is not int or w < 0 for w in weights):
-            raise MalformedInput("weights must be nonnegative integers")
 
 
 def _arc_fault(vertex_count: int, arc: object) -> MalformedInput:
@@ -108,10 +103,15 @@ class Digraph:
             u = next(u for u, heads in enumerate(out) if type(heads) is not list)
             raise MalformedInput(f"heads of {u} must be a list, got {out[u]!r:.20}")
         try:
-            weights = None if weights is None else list(weights)
+            weights = None if weights is None else tuple(weights)
         except TypeError:
             raise MalformedInput(f"weights {weights!r:.20} must be iterable") from None
-        _check_size(vertex_count, sum(map(len, out)), weights)
+        _check_size(vertex_count, sum(map(len, out)))
+        if weights is not None:
+            if len(weights) != vertex_count:
+                raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
+            if any(type(w) is not int or w < 0 for w in weights):
+                raise MalformedInput("weights must be nonnegative integers")
 
         # the one walk over ascending tails checks each head and counts the arc at it
         n, indeg = vertex_count, [0] * vertex_count
@@ -133,7 +133,7 @@ class Digraph:
         # would pile up on its tuple free lists (about 3 MB) until a full gc
         self.out_adj = tuple(list(map(tuple, out)))
         self._in_adj: Optional[tuple[tuple[int, ...], ...]] = None
-        self.vertex_weights = tuple(weights) if weights is not None else None
+        self.vertex_weights = weights
 
         self._order = self._validated_order(indeg, ordered)
 
@@ -205,13 +205,13 @@ def build_digraph(
     """Build and validate a rooted DAG from its arcs, in any order.
 
     Each arc is checked in input order and filed under its tail; the sorted
-    lists then go to the `Digraph` validator, with ``ordered`` (see `Digraph`).
+    lists and the unread ``weights`` go to `Digraph`, with ``ordered``.
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
-            integer, ``arcs`` or ``weights`` that is not iterable, an arc
-            that is not a pair of integers, ids out of range, self-loops,
-            duplicate arcs, or a weights list of the wrong shape.
+            integer, ``arcs`` that is not iterable, an arc that is not a
+            pair of integers, ids out of range, self-loops, duplicate arcs,
+            or ``weights`` that `Digraph`, their one checker, refuses.
         CycleDetected: the arc set contains a directed cycle.
         NotRooted: some vertex is unreachable from ``root``, or there are
             fewer than ``vertex_count - 1`` arcs.
@@ -219,11 +219,9 @@ def build_digraph(
     _check_root(vertex_count, root)
     try:
         arcs = arcs if isinstance(arcs, list) else list(arcs)
-        weights = None if weights is None else list(weights)
     except TypeError:
-        raise MalformedInput(f"arcs {arcs!r:.20} and weights {weights!r:.20} "
-                             "must be iterable") from None
-    _check_size(vertex_count, len(arcs), weights)
+        raise MalformedInput(f"arcs {arcs!r:.20} must be iterable") from None
+    _check_size(vertex_count, len(arcs))
 
     out: list[list[int]] = [[] for _ in range(vertex_count)]
     for arc in arcs:

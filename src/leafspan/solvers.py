@@ -25,7 +25,7 @@ from typing import Optional
 
 from .branching import Branching, _check_t
 from .certificates import PIPELINES, Pipeline, SolveReport
-from .errors import IllegalExpansion, MalformedInput, PreconditionViolated, TooLarge
+from .errors import MalformedInput, PreconditionViolated, TooLarge
 from .graph import Digraph, topological_order
 from .matching import max_matching
 from .packing import EXACT_PACKER, Packer, PackSet
@@ -144,7 +144,7 @@ def max_leaves_packing(
     Greedy 4-expansions first; every remaining out-degree-0 vertex with two
     or three in-degree-0 out-neighbors contributes a set (weight = size - 1),
     and each 3-set also contributes its three 2-subsets.  A selection that is
-    not pairwise-disjoint offered sets raises IllegalExpansion before any
+    not pairwise-disjoint offered sets raises PreconditionViolated before any
     write.  Size-3 selections go first, then attachment completes the
     arborescence.  The report is certified by its ``w3dm-<packer name>`` row
     of `PIPELINES`; a packer without one raises PreconditionViolated.
@@ -171,12 +171,12 @@ def max_leaves_packing(
         selection = list(selection)
         for s in selection:
             if s not in offered or not used.isdisjoint(s.members):
-                raise IllegalExpansion(f"packer selected {s!r:.80}, not an offered set "
-                                       f"disjoint from the others")
+                raise PreconditionViolated(f"packer selected {s!r:.80}, not an offered "
+                                           f"set disjoint from the others")
             used.update(s.members)
     except TypeError:  # not iterable, or an unhashable set: nothing offered is either
-        raise IllegalExpansion(f"packer returned {selection!r:.80}, not an offered set "
-                               f"or an iterable of them") from None
+        raise PreconditionViolated(f"packer returned {selection!r:.80}, not an offered "
+                                   f"set or an iterable of them") from None
     del offered, used  # an entry per offered set and per head: free them before the writes
 
     # offered members are free heads of their leaf candidate in F1, and two

@@ -3,6 +3,7 @@ import csv
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -136,6 +137,19 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from leafspan import *", namespace)  # a fresh namespace
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(names)
+
+
+def test_readme_library_example_runs(capsys):
+    # README's python blocks, in order and in one namespace, as a reader pastes them
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(), re.S | re.M)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(block, namespace)
+    report, tree = namespace["report"], namespace["tree"]
+    assert report.certificate_ok and tree.is_spanning_arborescence()
+    assert capsys.readouterr().out.startswith(f"{report.leaf_count} ")
 
 
 def test_solve_writes_dot(tmp_path):
@@ -329,17 +343,22 @@ def test_parse_error_exits_3(tmp_path, capsys):
     assert "weights must be nonnegative integers" in err and "Traceback" not in err
 
 
-# each body stops at the fault it carries, not at an earlier check; this
-# table is the only copy of these bodies, and CI's run of the installed
-# command checks exit code 3 with one cyclic instance
+# each body stops at the fault named, not at an earlier check, and a body
+# with two faults pins which one is named; this table is the only copy of
+# these bodies, and CI's run of the installed command checks exit code 3
+# with one cyclic instance
 MALFORMED_INSTANCES = {
     "v1-arcs-not-iterable": ('"version":1,"n":2,"root":0,"arcs":5',
-                             "arcs 5 and weights None must be iterable"),
+                             "arcs 5 must be iterable"),
     "v1-n-bool": ('"version":1,"n":true,"root":0,"arcs":[[0,1]]',
                   "vertex_count must be an integer >= 1, got True"),
     "v1-no-root": ('"version":1,"n":2,"arcs":[[0,1]]', "root None out of range [0, 2)"),
     "v1-weights-not-iterable": ('"version":1,"n":2,"root":0,"arcs":[[0,1]],"weights":7',
-                                "arcs [[0, 1]] and weights 7 must be iterable"),
+                                "weights 7 must be iterable"),
+    "v2-weights-not-iterable": ('"version":2,"n":2,"root":0,"out":[[1],[]],"weights":7',
+                                "weights 7 must be iterable"),
+    "v1-bad-arc-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1],[0,9]],"weights":7',
+                               "arc [0, 9] is not a pair of distinct integer vertex ids in [0, 3)"),
     "v2-out-not-list": ('"version":2,"n":3,"root":0,"out":5',
                         "out must be a list of head lists, got 5"),
     "v2-descending": ('"version":2,"n":3,"root":0,"out":[[2,1],[],[]]',

@@ -5,11 +5,13 @@ from collections import deque
 import pytest
 
 from leafspan import (
+    Branching,
     CycleDetected,
     Digraph,
     MalformedInput,
     NotRooted,
     build_digraph,
+    max_leaves,
 )
 from oracles import digraph_arcs, graph_fields, random_dag_corpus
 
@@ -58,6 +60,36 @@ def test_malformed_inputs(n, root, arcs):
 def test_wrong_weight_length():
     with pytest.raises(MalformedInput):
         build_digraph(2, 0, [(0, 1)], weights=[1])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((2, 0, [(0, 1)], 7), "weights 7 must be iterable"),
+    ((2, 0, 5), "arcs 5 must be iterable"),
+    # the arcs are checked before Digraph reads the weights
+    ((3, 0, [(0, 1), (0, 9)], 7),
+     "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+], ids=["weights", "arcs", "arc-beats-weights"])
+def test_build_digraph_leaves_the_weights_to_digraph(args, message):
+    with pytest.raises(MalformedInput) as caught:
+        build_digraph(*args)
+    assert str(caught.value) == message
+
+
+def test_weights_are_read_once_by_digraph():
+    # an iterator survives build_digraph unread and is stored as a tuple
+    weights = [0, 2, 1]
+    d = build_digraph(3, 0, [(0, 1), (1, 2)], iter(weights))
+    assert d.vertex_weights == Digraph(3, 0, [[1], [2], []], weights).vertex_weights == (0, 2, 1)
+
+
+def test_graph_and_branching_reprs():
+    d = build_digraph(3, 0, [(0, 1), (0, 2)])
+    assert repr(d) == "Digraph(n=3, root=0, arcs=2, weighted=False)"
+    assert repr(Branching(d)) == "Branching(arcs=0, leaves=3)"
+    tree, _ = max_leaves(d)
+    assert repr(tree) == "Branching(arcs=2, leaves=2)"
+    weighted = build_digraph(2, 0, [(0, 1)], [1, 1])
+    assert repr(weighted) == "Digraph(n=2, root=0, arcs=1, weighted=True)"
 
 
 def test_error_cases_are_disjoint():

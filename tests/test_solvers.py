@@ -12,7 +12,6 @@ from leafspan import (
     Branching,
     EXACT_PACKER,
     GREEDY_PACKER,
-    IllegalExpansion,
     PackSet,
     Packer,
     PreconditionViolated,
@@ -431,8 +430,9 @@ class TestMaxLeavesPacking:
             "unhashable-set"])
     def test_selection_outside_the_offered_sets_is_refused(self, selection):
         packer = Packer("greedy", lambda sets: selection)
-        with pytest.raises(IllegalExpansion, match="not an offered set"):
+        with pytest.raises(PreconditionViolated, match="not an offered set") as caught:
             max_leaves_packing(two_offered_pairs_instance(), packer)
+        assert type(caught.value) is PreconditionViolated
 
     def test_equal_copy_of_an_offered_set_is_accepted(self):
         # the check compares by value, not by identity
