@@ -105,13 +105,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     directory = Path(args.input_dir)
     if not directory.is_dir():
-        print(f"bench: {directory} is not a directory", file=sys.stderr)
-        return 3
+        raise NotADirectoryError(f"--input-dir {directory} is not a directory")
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     for a in algos:
         if a not in ALGORITHMS:
-            print(f"bench: unknown algorithm {a!r}", file=sys.stderr)
-            return 2
+            raise MalformedInput(f"unknown algorithm {a!r} in --algos")
     rows = []
     for path in sorted(directory.glob("*.json")):
         d = read_instance(path)

@@ -2,15 +2,15 @@
 
 Vertices are dense integer ids ``0..n-1``.  A graph is given by its head
 lists: ``out[u]`` holds the heads of the arcs out of ``u``, strictly
-ascending.  `Digraph` is the one validator.  It checks the shape of ``out``
-and the arc count before any list of length n exists, then walks the tails
-in ascending order once: the walk tests every head (an integer id in range,
-above the one before it, not the tail) and counts it at its head.  When the
-walk finds a fault, the one reported is the first head that is not an id in
-range, else the first self-loop, else the first list out of order, where a
-head equal to the one before it is a duplicate arc.
-`build_digraph` takes arcs: it checks each, files it under its tail, sorts
-each list and hands them, with the weights unread, to the same validator.
+ascending.  `Digraph` is the one validator.  It checks the root, the shape of
+``out`` and the arc count before any list of length n exists, then walks the
+tails in ascending order once, testing each head (an integer id in range,
+above the one before it, not the tail) and counting it at its head, then
+checks the weights and runs the Kahn pass below.  Of the walk's faults it
+names the first head, in tail order, that is not an id in range or equals its
+tail, else the first list out of order (an equal pair is a duplicate arc).
+`build_digraph` checks the root, the arc count and each arc in input order,
+and hands the sorted lists and the unread weights to `Digraph`.
 
 The graph must be simple, acyclic and rooted; the Kahn pass that checks this
 computes the smallest-id-first topological order, which every solver phase
@@ -49,15 +49,12 @@ def _arc_fault(vertex_count: int, arc: object) -> MalformedInput:
 
 
 def _head_fault(vertex_count: int, out: list[list]) -> MalformedInput:
-    """The fault `Digraph` reports for ``out``: the first head that is not an
-    id in range, else the first self-loop, else the first list out of order."""
+    """The fault `Digraph` reports for ``out``: the first head, in tail order,
+    that is not an id in range or equals its tail, else the first list out of order."""
     for u, heads in enumerate(out):
         for v in heads:
-            if type(v) is not int or not 0 <= v < vertex_count:
+            if type(v) is not int or not 0 <= v < vertex_count or v == u:
                 return _arc_fault(vertex_count, (u, v))
-    for u, heads in enumerate(out):
-        if u in heads:
-            return _arc_fault(vertex_count, (u, u))
     # the walk flagged a head that breaks neither rule, so a list is out of order
     u, prev, v = next((u, prev, v) for u, heads in enumerate(out)
                       for prev, v in zip(heads, heads[1:]) if v <= prev)
@@ -69,8 +66,8 @@ def _head_fault(vertex_count: int, out: list[list]) -> MalformedInput:
 class Digraph:
     """A validated rooted directed acyclic graph.
 
-    Built from per-vertex head lists (see the module docstring); generators
-    and callers holding arcs use `build_digraph`.
+    Built from head lists and checked in one order: root, shape of ``out``,
+    arc count, heads, weights, Kahn pass.  Callers holding arcs use `build_digraph`.
 
     Attributes:
         vertex_count: number of vertices ``n``.
@@ -102,16 +99,7 @@ class Digraph:
         if set(map(type, out)) != {list}:
             u = next(u for u, heads in enumerate(out) if type(heads) is not list)
             raise MalformedInput(f"heads of {u} must be a list, got {out[u]!r:.20}")
-        try:
-            weights = None if weights is None else tuple(weights)
-        except TypeError:
-            raise MalformedInput(f"weights {weights!r:.20} must be iterable") from None
         _check_size(vertex_count, sum(map(len, out)))
-        if weights is not None:
-            if len(weights) != vertex_count:
-                raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
-            if any(type(w) is not int or w < 0 for w in weights):
-                raise MalformedInput("weights must be nonnegative integers")
 
         # the one walk over ascending tails checks each head and counts the arc at it
         n, indeg = vertex_count, [0] * vertex_count
@@ -125,6 +113,15 @@ class Digraph:
                     prev = v
         except TypeError:  # a head that does not compare with an integer
             raise _head_fault(n, out) from None
+        if weights is not None:
+            try:
+                weights = tuple(weights)
+            except TypeError:
+                raise MalformedInput(f"weights {weights!r:.20} must be iterable") from None
+            if len(weights) != vertex_count:
+                raise MalformedInput(f"weights has length {len(weights)}, expected {vertex_count}")
+            if any(type(w) is not int or w < 0 for w in weights):
+                raise MalformedInput("weights must be nonnegative integers")
 
         self.vertex_count = vertex_count
         self.root = root
@@ -204,8 +201,8 @@ def build_digraph(
 ) -> Digraph:
     """Build and validate a rooted DAG from its arcs, in any order.
 
-    Each arc is checked in input order and filed under its tail; the sorted
-    lists and the unread ``weights`` go to `Digraph`, with ``ordered``.
+    Checks the root, the arc count, then each arc in input order, as `Digraph`
+    checks heads; the sorted lists and unread ``weights`` go to it, with ``ordered``.
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an

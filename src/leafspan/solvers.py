@@ -216,8 +216,11 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     total weight of distinct parents used.  ``objective`` is "leaves" (count
     of out-degree-0 vertices) or "leaf_weight" (their summed vertex weights).
     Vertices with one in-neighbor are fixed; the rest, the choices, are
-    decided in topological order, parents already in use first, then by
-    ascending id, and ties go to the first optimum in that order.
+    decided in topological order, each by ascending id, and ties go to the
+    first optimum in that order.  A choice with a parent in use takes the
+    first such parent and does not branch: the cost prices only the set of
+    parents in use, so another in use repeats the subtree, and a new parent p
+    cannot do better, as a later choice that needs p can add it at that price.
 
     Each node builds a greedy family in (in-degree, id) order from its
     undecided choices v with low(v) > 0, low(v) being v's lightest
@@ -282,10 +285,10 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
         if bound >= best_cost:
             return
         v = choices[i]
-        # parents in use first (they add no cost); the stable sort keeps ascending id
-        for p, b in sorted(options[i], key=lambda o: not used & o[1]):
+        covered = [o for o in options[i] if used & o[1]][:1]  # no branch: see docstring
+        for p, b in covered or options[i]:
             parent[v] = p
-            dfs(i + 1, cost if used & b else cost + weight[p], used | b)
+            dfs(i + 1, cost if covered else cost + weight[p], used | b)
 
     dfs(0, base_cost, base_used)
     del dfs  # dfs refers to itself; break the cycle so its state is freed now

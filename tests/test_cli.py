@@ -344,9 +344,9 @@ def test_parse_error_exits_3(tmp_path, capsys):
 
 
 # each body stops at the fault named, not at an earlier check, and a body
-# with two faults pins which one is named; this table is the only copy of
-# these bodies, and CI's run of the installed command checks exit code 3
-# with one cyclic instance
+# with two faults pins which one is named: both formats check the arcs before
+# the weights; this table is the only copy of these bodies, and CI's run of
+# the installed command checks exit code 3 with one cyclic instance
 MALFORMED_INSTANCES = {
     "v1-arcs-not-iterable": ('"version":1,"n":2,"root":0,"arcs":5',
                              "arcs 5 must be iterable"),
@@ -359,6 +359,17 @@ MALFORMED_INSTANCES = {
                                 "weights 7 must be iterable"),
     "v1-bad-arc-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1],[0,9]],"weights":7',
                                "arc [0, 9] is not a pair of distinct integer vertex ids in [0, 3)"),
+    "v2-bad-head-and-weights": ('"version":2,"n":3,"root":0,"out":[[1,9],[2],[]],"weights":7',
+                                "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+    "v1-too-few-arcs-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1]],"weights":7',
+                                    "1 arcs cannot span 3 vertices"),
+    "v2-too-few-heads-and-weights": ('"version":2,"n":3,"root":0,"out":[[1],[],[]],"weights":7',
+                                     "1 arcs cannot span 3 vertices"),
+    "v1-duplicate-arc-and-weights": (
+        '"version":1,"n":3,"root":0,"arcs":[[0,1],[0,1],[1,2]],"weights":7',
+        "duplicate arc (0, 1)"),
+    "v2-duplicate-arc-and-weights": ('"version":2,"n":3,"root":0,"out":[[1,1],[2],[]],"weights":7',
+                                     "duplicate arc (0, 1)"),
     "v2-out-not-list": ('"version":2,"n":3,"root":0,"out":5',
                         "out must be a list of head lists, got 5"),
     "v2-descending": ('"version":2,"n":3,"root":0,"out":[[2,1],[],[]]',
@@ -491,17 +502,20 @@ def test_bench_exact_row_on_a_weighted_instance_maximises_leaf_weight(tmp_path):
         ("maxleaves", "3", "3", "1"), ("exact", "2", "3", "3/2")]
 
 
-def test_bench_rejects_unknown_algorithm(tmp_path):
+def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     indir = tmp_path / "instances"
     indir.mkdir()
     out = tmp_path / "bench.csv"
     assert run("bench", "--input-dir", str(indir),
                "--algos", "maxleaves,bogus", "--csv", str(out)) == 2
+    assert capsys.readouterr().err == "error: unknown algorithm 'bogus' in --algos\n"
 
 
-def test_bench_missing_directory_exits_3(tmp_path):
-    assert run("bench", "--input-dir", str(tmp_path / "nope"),
+def test_bench_missing_directory_exits_3(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    assert run("bench", "--input-dir", str(missing),
                "--csv", str(tmp_path / "out.csv")) == 3
+    assert capsys.readouterr().err == f"error: --input-dir {missing} is not a directory\n"
 
 
 def test_bench_deterministic_modulo_timing(tmp_path):

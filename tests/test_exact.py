@@ -8,6 +8,8 @@ are counted as calls of each search's nested ``dfs`` code object, seen
 through `sys.setprofile`, so no counter lives in the package.
 """
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -24,6 +26,7 @@ from leafspan import (
     gen_random_rooted_dag,
     reduce_independent_set,
 )
+from leafspan import solvers
 from leafspan.solvers import EXACT_PRODUCT_LIMIT, EXACT_SMALL_N
 from oracles import digraph_arcs, reference_exact_max_leaves
 
@@ -147,3 +150,17 @@ def test_family_bound_prunes_where_nothing_else_can():
     assert value == 2 * k
     assert parent == [None] + [0] * (2 * k) + list(range(1, 2 * k, 2))
     assert nodes <= 2 * k + 1
+
+
+@pytest.mark.parametrize("n, p, value, digest", [
+    (50, 0.10, 36, "d9e83c9297b304ab"),
+    (60, 0.08, 44, "362f7e8b96749f21"),
+])
+def test_covered_choices_do_not_branch(monkeypatch, n, p, value, digest):
+    # value and parent digest as recorded from the search that branched on every
+    # parent, parents in use first, which visits 101,095 and 321,683 nodes here
+    monkeypatch.setattr(solvers, "EXACT_PRODUCT_LIMIT", 10**400)
+    (found, parent), nodes = run_counted(exact_max_leaves, gen_random_rooted_dag(n, p, 1), "leaves")
+    assert found == value
+    assert hashlib.sha256(json.dumps(parent).encode()).hexdigest()[:16] == digest
+    assert nodes <= 1_000

@@ -8,9 +8,11 @@ from leafspan import (
     Branching,
     CycleDetected,
     Digraph,
+    LeafspanError,
     MalformedInput,
     NotRooted,
     build_digraph,
+    gen_random_rooted_dag,
     max_leaves,
 )
 from oracles import digraph_arcs, graph_fields, random_dag_corpus
@@ -73,6 +75,40 @@ def test_build_digraph_leaves_the_weights_to_digraph(args, message):
     with pytest.raises(MalformedInput) as caught:
         build_digraph(*args)
     assert str(caught.value) == message
+
+
+def raised(make):
+    with pytest.raises(LeafspanError) as caught:
+        make()
+    return type(caught.value), str(caught.value)
+
+
+def test_both_formats_name_the_same_fault_for_arcs_in_tail_order():
+    # 1-3 faults injected into the head lists of a small rooted DAG, with
+    # weights that are fine, not iterable, too short or negative; a list with
+    # a descending pair is skipped, since build_digraph sorts that fault away
+    rng, kept = random.Random(35), 0
+    for _ in range(3000):
+        n = rng.randint(2, 6)
+        d = gen_random_rooted_dag(n, 0.4, rng.randrange(2**31))
+        out = list(map(list, d.out_adj))
+        for _ in range(rng.randint(1, 3)):
+            u = rng.randrange(n)
+            heads, kind = out[u], rng.choice(("self-loop", "range", "true", "repeat"))
+            if kind == "repeat" and heads:
+                j = rng.randrange(len(heads))
+                heads.insert(j, heads[j])
+            else:
+                bad = {"range": rng.choice((-1, n)), "true": True}.get(kind, u)
+                heads.insert(rng.randint(0, len(heads)), bad)
+        if any(b < a for heads in out for a, b in zip(heads, heads[1:])):
+            continue
+        kept += 1
+        weights = rng.choice((None, 7, [1], [0] * n, [0] * (n - 1) + [-1]))
+        arcs = [(u, v) for u, heads in enumerate(out) for v in heads]
+        assert (raised(lambda: build_digraph(n, d.root, arcs, weights))
+                == raised(lambda: Digraph(n, d.root, out, weights))), (out, weights)
+    assert kept > 1000
 
 
 def test_weights_are_read_once_by_digraph():

@@ -459,8 +459,10 @@ class TestSerialization:
 
 
 # Version 2 bodies (the fields after "version": 2), each with one fault, or
-# several to pin which is reported: the validator checks every head's id
-# first, then self-loops, then the order of each list, then the Kahn pass
+# several to pin which is reported: after the shape of out and the arc count,
+# the validator names the first head, in tail order, that is not an id in
+# range or equals its tail, else the first list out of order, then checks the
+# weights, then runs the Kahn pass
 FORMAT_2_ERRORS = {
     "out-missing": ('"n": 3, "root": 0',
                     "MalformedInput: out must be a list of head lists, got None"),
@@ -509,9 +511,9 @@ FORMAT_2_ERRORS = {
     "weights-not-iterable": ('"n": 2, "root": 0, "out": [[1], []], "weights": 7',
                              "MalformedInput: weights 7 must be iterable"),
     # several faults in one list
-    "range-beats-self-loop-and-order": (
+    "self-loop-beats-later-range-and-earlier-order": (
         '"n": 4, "root": 0, "out": [[3, 3, 0, 7], [2], [3], []]',
-        "MalformedInput: arc (0, 7) is not a pair of distinct integer vertex ids in [0, 4)"),
+        "MalformedInput: arc (0, 0) is not a pair of distinct integer vertex ids in [0, 4)"),
     "self-loop-beats-order": (
         '"n": 4, "root": 0, "out": [[3, 2, 2, 0], [2], [3], []]',
         "MalformedInput: arc (0, 0) is not a pair of distinct integer vertex ids in [0, 4)"),
@@ -520,9 +522,9 @@ FORMAT_2_ERRORS = {
     "equal-before-descending": ('"n": 4, "root": 0, "out": [[1, 1, 3, 2], [2], [3], []]',
                                 "MalformedInput: duplicate arc (0, 1)"),
     # faults in two lists
-    "later-id-beats-earlier-self-loop": (
+    "earlier-self-loop-beats-later-id": (
         '"n": 3, "root": 0, "out": [[0, 1], [2], [true]]',
-        "MalformedInput: arc (2, True) is not a pair of distinct integer vertex ids in [0, 3)"),
+        "MalformedInput: arc (0, 0) is not a pair of distinct integer vertex ids in [0, 3)"),
     "later-self-loop-beats-earlier-order": (
         '"n": 3, "root": 0, "out": [[2, 1], [1, 2], []]',
         "MalformedInput: arc (1, 1) is not a pair of distinct integer vertex ids in [0, 3)"),
