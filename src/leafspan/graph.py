@@ -2,15 +2,15 @@
 
 Vertices are dense integer ids ``0..n-1``.  A graph is given by its head
 lists: ``out[u]`` holds the heads of the arcs out of ``u``, strictly
-ascending.  `Digraph` is the one validator.  It checks the root, the shape of
-``out`` and the arc count before any list of length n exists, then walks the
-tails in ascending order once, testing each head (an integer id in range,
-above the one before it, not the tail) and counting it at its head, then
-checks the weights and runs the Kahn pass below.  Of the walk's faults it
-names the first head, in tail order, that is not an id in range or equals its
-tail, else the first list out of order (an equal pair is a duplicate arc).
-`build_digraph` checks the root, the arc count and each arc in input order,
-and hands the sorted lists and the unread weights to `Digraph`.
+ascending.  `Digraph` is the one validator and its one walk the one head
+checker.  It checks the root, the shape of ``out`` and the arc count before
+any list of length n exists, then walks the tails in ascending order once,
+testing and counting each head, then checks the weights and runs the Kahn
+pass below.  The walk names the first head, in tail order, that is not an id
+in range or equals its tail, else the first list out of order (an equal pair
+is a duplicate arc).  `build_digraph` checks the arc count and the tails, then
+sorts the heads under each tail, so arcs in any order name the fault of their
+ascending lists.
 
 The graph must be simple, acyclic and rooted; the Kahn pass that checks this
 computes the smallest-id-first topological order, which every solver phase
@@ -46,21 +46,6 @@ def _arc_fault(vertex_count: int, arc: object) -> MalformedInput:
     return MalformedInput(
         f"arc {arc!r:.60} is not a pair of distinct integer vertex ids in [0, {vertex_count})"
     )
-
-
-def _head_fault(vertex_count: int, out: list[list]) -> MalformedInput:
-    """The fault `Digraph` reports for ``out``: the first head, in tail order,
-    that is not an id in range or equals its tail, else the first list out of order."""
-    for u, heads in enumerate(out):
-        for v in heads:
-            if type(v) is not int or not 0 <= v < vertex_count or v == u:
-                return _arc_fault(vertex_count, (u, v))
-    # the walk flagged a head that breaks neither rule, so a list is out of order
-    u, prev, v = next((u, prev, v) for u, heads in enumerate(out)
-                      for prev, v in zip(heads, heads[1:]) if v <= prev)
-    if v == prev:
-        return MalformedInput(f"duplicate arc ({u}, {v})")
-    return MalformedInput(f"heads of {u} are not ascending: {v} after {prev}")
 
 
 class Digraph:
@@ -101,18 +86,24 @@ class Digraph:
             raise MalformedInput(f"heads of {u} must be a list, got {out[u]!r:.20}")
         _check_size(vertex_count, sum(map(len, out)))
 
-        # the one walk over ascending tails checks each head and counts the arc at it
-        n, indeg = vertex_count, [0] * vertex_count
+        # one walk checks and counts each head; a list out of order is named after it
+        n, indeg, disorder = vertex_count, [0] * vertex_count, None
         try:
             for u, heads in enumerate(out):
                 prev = -1
                 for v in heads:
                     if not prev < v < n or v == u or type(v) is not int:
-                        raise _head_fault(n, out)
+                        if type(v) is not int or not 0 <= v < n or v == u:
+                            raise _arc_fault(n, (u, v))
+                        disorder = disorder or (u, prev, v)
                     indeg[v] += 1
                     prev = v
         except TypeError:  # a head that does not compare with an integer
-            raise _head_fault(n, out) from None
+            raise _arc_fault(n, (u, v)) from None
+        if disorder:
+            u, prev, v = disorder
+            raise MalformedInput(f"duplicate arc ({u}, {v})" if v == prev
+                                 else f"heads of {u} are not ascending: {v} after {prev}")
         if weights is not None:
             try:
                 weights = tuple(weights)
@@ -201,8 +192,10 @@ def build_digraph(
 ) -> Digraph:
     """Build and validate a rooted DAG from its arcs, in any order.
 
-    Checks the root, the arc count, then each arc in input order, as `Digraph`
-    checks heads; the sorted lists and unread ``weights`` go to it, with ``ordered``.
+    Checks the root, the arc count and each arc's shape and tail, files the heads
+    unchecked and sorts each list (a ``True`` and a ``1`` keep their input order,
+    and a head that does not compare stops the sort); `Digraph` gets the lists,
+    the unread ``weights`` and ``ordered``, and names the first head fault.
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
@@ -225,14 +218,16 @@ def build_digraph(
         try:
             u, v = arc
         except (TypeError, ValueError):
-            u = v = None  # rejected just below
-        if (type(u) is not int or type(v) is not int
-                or not (0 <= u < vertex_count and 0 <= v < vertex_count) or u == v):
-            raise _arc_fault(vertex_count, arc)
+            raise _arc_fault(vertex_count, arc) from None
+        if type(u) is not int or not 0 <= u < vertex_count:
+            raise _arc_fault(vertex_count, (u, v))
         out[u].append(v)
-    for heads in out:
-        if len(heads) > 1:
-            heads.sort()
+    try:
+        for heads in out:
+            if len(heads) > 1:
+                heads.sort()
+    except TypeError:  # a head that does not compare: Digraph names it
+        pass
     return Digraph(vertex_count, root, out, weights, ordered=ordered)
 
 

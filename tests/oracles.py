@@ -25,7 +25,9 @@ written as sums of `Fraction` terms.
 `leaves_to_independent_set` maps a solved `reduce_independent_set`
 instance back to the source graph.
 `graph_fields` compares two digraphs field by field, and `instance_v1`
-gives one as a version 1 instance object.
+gives one as a version 1 instance object.  `reference_head_fault` names the
+head fault of a list of head lists in two passes of its own, as `Digraph`
+did before its one walk named the fault itself.
 """
 
 from __future__ import annotations
@@ -294,6 +296,21 @@ def instance_v1(d: Digraph) -> dict:
     if d.vertex_weights is not None:
         obj["weights"] = list(d.vertex_weights)
     return obj
+
+
+def reference_head_fault(n: int, out: list[list]) -> str:
+    """The message `Digraph` gives for head lists ``out`` with at least one head
+    fault: the first head, in tail order, that is not an integer id in
+    ``[0, n)`` or equals its tail, else the first adjacent pair not ascending."""
+    for u, heads in enumerate(out):
+        for v in heads:
+            if type(v) is not int or not 0 <= v < n or v == u:
+                return f"arc {(u, v)!r:.60} is not a pair of distinct integer vertex ids in [0, {n})"
+    u, prev, v = next((u, prev, v) for u, heads in enumerate(out)
+                      for prev, v in zip(heads, heads[1:]) if v <= prev)
+    if v == prev:
+        return f"duplicate arc ({u}, {v})"
+    return f"heads of {u} are not ascending: {v} after {prev}"
 
 
 def branching_arcs(b: Branching) -> list[Arc]:

@@ -358,9 +358,17 @@ MALFORMED_INSTANCES = {
     "v2-weights-not-iterable": ('"version":2,"n":2,"root":0,"out":[[1],[]],"weights":7',
                                 "weights 7 must be iterable"),
     "v1-bad-arc-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1],[0,9]],"weights":7',
-                               "arc [0, 9] is not a pair of distinct integer vertex ids in [0, 3)"),
+                               "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
     "v2-bad-head-and-weights": ('"version":2,"n":3,"root":0,"out":[[1,9],[2],[]],"weights":7',
                                 "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+    # a version 1 file names the fault of its sorted lists, whatever the arc order
+    "v1-later-self-loop-listed-first": (
+        '"version":1,"n":3,"root":0,"arcs":[[2,2],[0,9],[0,1],[1,2]]',
+        "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+    "v2-later-self-loop": ('"version":2,"n":3,"root":0,"out":[[1,9],[2],[2]]',
+                           "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+    "v1-bad-tail": ('"version":1,"n":3,"root":0,"arcs":[[0,1],[9,0],[1,2]]',
+                    "arc (9, 0) is not a pair of distinct integer vertex ids in [0, 3)"),
     "v1-too-few-arcs-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1]],"weights":7',
                                     "1 arcs cannot span 3 vertices"),
     "v2-too-few-heads-and-weights": ('"version":2,"n":3,"root":0,"out":[[1],[],[]],"weights":7',

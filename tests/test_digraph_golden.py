@@ -8,7 +8,7 @@ each malformed input below, so a change to the build keeps which error wins
 when an input has several faults.  Both validators are held to the same
 record: the heap pass of ``ordered=True`` and the list pass of
 ``ordered=False``, whose ``order`` is then computed on first read.
-Re-record with ``python tests/test_digraph_golden.py``.
+Re-record with ``PYTHONPATH=src python tests/test_digraph_golden.py``.
 """
 
 import hashlib
@@ -38,6 +38,7 @@ ERRORS = {
     "duplicates-at-two-tails": (5, 0, [(2, 4), (0, 1), (1, 2), (2, 4), (2, 3), (0, 1), (1, 3)]),
     "two-duplicates-at-one-tail": (5, 0, [(0, 3), (0, 1), (0, 2), (0, 3), (0, 2), (2, 4)]),
     "duplicate-and-cycle": (4, 0, [(0, 1), (1, 2), (2, 3), (3, 1), (2, 3)]),
+    "later-self-loop-listed-first": (3, 0, [(2, 2), (0, 9), (0, 1), (1, 2)]),
     "self-loop": (3, 0, [(0, 1), (1, 2), (2, 2)]),
     "bool-id": (3, 0, [(0, 1), (1, True), (0, 2)]),
     "out-of-range-id": (3, 0, [(0, 1), (0, 2), (2, 3)]),

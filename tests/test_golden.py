@@ -3,7 +3,8 @@
 ``golden_outputs.json`` holds, for each (instance, algorithm) pair, a digest
 of the parent array and of the ``report`` object that ``leafspan solve``
 writes, or the exit code when the solve is refused.  A refactor must leave
-every entry unchanged.  Re-record with ``python tests/test_golden.py``.
+every entry unchanged.  Re-record with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import hashlib

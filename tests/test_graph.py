@@ -15,7 +15,7 @@ from leafspan import (
     gen_random_rooted_dag,
     max_leaves,
 )
-from oracles import digraph_arcs, graph_fields, random_dag_corpus
+from oracles import digraph_arcs, graph_fields, random_dag_corpus, reference_head_fault
 
 
 def test_single_vertex():
@@ -83,10 +83,11 @@ def raised(make):
     return type(caught.value), str(caught.value)
 
 
-def test_both_formats_name_the_same_fault_for_arcs_in_tail_order():
+def test_both_formats_name_the_same_fault_in_any_arc_order():
     # 1-3 faults injected into the head lists of a small rooted DAG, with
-    # weights that are fine, not iterable, too short or negative; a list with
-    # a descending pair is skipped, since build_digraph sorts that fault away
+    # weights that are fine, not iterable, too short or negative: the arcs,
+    # shuffled, name the fault of the sorted lists; a list holding True beside
+    # 1 (or False beside 0) is skipped: the sort keeps equal faults in input order
     rng, kept = random.Random(35), 0
     for _ in range(3000):
         n = rng.randint(2, 6)
@@ -101,14 +102,47 @@ def test_both_formats_name_the_same_fault_for_arcs_in_tail_order():
             else:
                 bad = {"range": rng.choice((-1, n)), "true": True}.get(kind, u)
                 heads.insert(rng.randint(0, len(heads)), bad)
-        if any(b < a for heads in out for a, b in zip(heads, heads[1:])):
+        if any(len({type(v) for v in heads if v == b}) > 1 for heads in out for b in (0, 1)):
             continue
         kept += 1
         weights = rng.choice((None, 7, [1], [0] * n, [0] * (n - 1) + [-1]))
         arcs = [(u, v) for u, heads in enumerate(out) for v in heads]
+        rng.shuffle(arcs)
+        lists = [sorted(heads) for heads in out]
         assert (raised(lambda: build_digraph(n, d.root, arcs, weights))
-                == raised(lambda: Digraph(n, d.root, out, weights))), (out, weights)
-    assert kept > 1000
+                == raised(lambda: Digraph(n, d.root, lists, weights))), (arcs, weights)
+    assert kept > 2500
+
+
+def test_digraph_names_the_head_fault_the_reference_names():
+    # version 2 bodies with 1-4 faults: ids out of range, self-loops, heads
+    # that are not integers (a string, None and a list do not compare with
+    # one), repeated heads and swapped neighbours, which give a descending pair
+    rng, seen = random.Random(36), set()
+    bad_heads = {"true": True, "float": 1.5, "string": "x", "none": None, "list": [0]}
+    for _ in range(4000):
+        n = rng.randint(2, 7)
+        d = gen_random_rooted_dag(n, 0.4, rng.randrange(2**31))
+        out = list(map(list, d.out_adj))
+        for _ in range(rng.randint(1, 4)):
+            u = rng.randrange(n)
+            heads = out[u]
+            kind = rng.choice(("self-loop", "range", "repeat", "swap", *bad_heads))
+            if kind == "swap" and len(heads) > 1:
+                j = rng.randrange(len(heads) - 1)
+                heads[j], heads[j + 1] = heads[j + 1], heads[j]
+            elif kind == "repeat" and heads:
+                j = rng.randrange(len(heads))
+                heads.insert(j, heads[j])
+            else:
+                bad = {"range": rng.choice((-1, n, n + 5)), **bad_heads}.get(kind, u)
+                heads.insert(rng.randint(0, len(heads)), bad)
+        expected = reference_head_fault(n, out)
+        for ordered in (True, False):
+            assert raised(lambda: Digraph(n, d.root, out, ordered=ordered)) == (
+                MalformedInput, expected), out
+        seen.add(expected.split()[0])
+    assert seen == {"arc", "duplicate", "heads"}
 
 
 def test_weights_are_read_once_by_digraph():

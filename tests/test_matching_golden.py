@@ -6,7 +6,7 @@ depend on which one is returned.  ``matching_golden.json`` holds a digest of
 the matched edge list for each seeded random general graph, with n from 2 to
 2000 and about 0.8n, 1.5n and 3n edges, and for each graph again with every
 vertex u renamed 2u (so odd ids are isolated).  Re-record with
-``python tests/test_matching_golden.py``.
+``PYTHONPATH=src python tests/test_matching_golden.py``.
 """
 
 import hashlib
