@@ -74,7 +74,7 @@ class Branching:
                 heads = out_adj[u] if type(u) is int and 0 <= u < n else ()
                 if type(v) is not int or (v not in heads if len(heads) < 16 else
                                           heads[bisect_left(heads, v, 0, len(heads) - 1)] != v):
-                    raise MalformedInput(f"arc ({u}, {v}) not in host digraph")
+                    raise MalformedInput(f"arc {(u, v)!r:.60} not in host digraph")
                 if parent[v] is not None:
                     raise MalformedInput(f"vertex {v} has two parents")
                 parent[v] = u

@@ -193,9 +193,9 @@ def build_digraph(
     """Build and validate a rooted DAG from its arcs, in any order.
 
     Checks the root, the arc count and each arc's shape and tail, files the heads
-    unchecked and sorts each list (a ``True`` and a ``1`` keep their input order,
-    and a head that does not compare stops the sort); `Digraph` gets the lists,
-    the unread ``weights`` and ``ordered``, and names the first head fault.
+    unchecked and sorts each list (a ``True`` and a ``1`` keep their input order;
+    a list that does not sort leads with its heads that are not numbers); `Digraph`
+    gets the lists, the unread ``weights`` and ``ordered``, and names the first head fault.
 
     Raises:
         MalformedInput: a ``vertex_count`` or ``root`` that is not an
@@ -222,12 +222,12 @@ def build_digraph(
         if type(u) is not int or not 0 <= u < vertex_count:
             raise _arc_fault(vertex_count, (u, v))
         out[u].append(v)
-    try:
-        for heads in out:
-            if len(heads) > 1:
+    for heads in out:
+        if len(heads) > 1:
+            try:
                 heads.sort()
-    except TypeError:  # a head that does not compare: Digraph names it
-        pass
+            except TypeError:  # a head that is not a number goes first, so Digraph names it
+                heads.sort(key=lambda v: isinstance(v, (int, float)))
     return Digraph(vertex_count, root, out, weights, ordered=ordered)
 
 

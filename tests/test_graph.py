@@ -86,21 +86,26 @@ def raised(make):
 def test_both_formats_name_the_same_fault_in_any_arc_order():
     # 1-3 faults injected into the head lists of a small rooted DAG, with
     # weights that are fine, not iterable, too short or negative: the arcs,
-    # shuffled, name the fault of the sorted lists; a list holding True beside
-    # 1 (or False beside 0) is skipped: the sort keeps equal faults in input order
-    rng, kept = random.Random(35), 0
+    # shuffled, name the fault of the sorted lists, where a head that is not
+    # a number (a string, None, a list: at most one per list) leads its list;
+    # a list holding True beside 1 (or False beside 0) is skipped: the sort
+    # keeps equal faults in input order
+    rng, kept, odd_kept = random.Random(35), 0, 0
+    odd_heads = ("x", None, [0])
     for _ in range(3000):
         n = rng.randint(2, 6)
         d = gen_random_rooted_dag(n, 0.4, rng.randrange(2**31))
         out = list(map(list, d.out_adj))
         for _ in range(rng.randint(1, 3)):
             u = rng.randrange(n)
-            heads, kind = out[u], rng.choice(("self-loop", "range", "true", "repeat"))
+            heads = out[u]
+            kind = rng.choice(("self-loop", "range", "true", "repeat", "odd"))
             if kind == "repeat" and heads:
                 j = rng.randrange(len(heads))
                 heads.insert(j, heads[j])
-            else:
-                bad = {"range": rng.choice((-1, n)), "true": True}.get(kind, u)
+            elif kind != "odd" or all(isinstance(v, int) for v in heads):
+                bad = {"range": rng.choice((-1, n)), "true": True,
+                       "odd": rng.choice(odd_heads)}.get(kind, u)
                 heads.insert(rng.randint(0, len(heads)), bad)
         if any(len({type(v) for v in heads if v == b}) > 1 for heads in out for b in (0, 1)):
             continue
@@ -108,10 +113,12 @@ def test_both_formats_name_the_same_fault_in_any_arc_order():
         weights = rng.choice((None, 7, [1], [0] * n, [0] * (n - 1) + [-1]))
         arcs = [(u, v) for u, heads in enumerate(out) for v in heads]
         rng.shuffle(arcs)
-        lists = [sorted(heads) for heads in out]
+        lists = [[v for v in heads if not isinstance(v, int)]
+                 + sorted(v for v in heads if isinstance(v, int)) for heads in out]
+        odd_kept += any(not isinstance(v, int) for heads in out for v in heads)
         assert (raised(lambda: build_digraph(n, d.root, arcs, weights))
                 == raised(lambda: Digraph(n, d.root, lists, weights))), (arcs, weights)
-    assert kept > 2500
+    assert kept > 2500 and odd_kept > 800
 
 
 def test_digraph_names_the_head_fault_the_reference_names():
