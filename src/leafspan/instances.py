@@ -194,15 +194,19 @@ def write_json_object(path: PathLike, obj: dict) -> None:
     _write_in_place(path, (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode())
 
 
+def _not_a_number(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def read_json_object(path: PathLike) -> dict:
     """Read the UTF-8 JSON object in ``path``; unreadable or malformed content raises ParseError."""
     try:
         with open(path, "rb") as f:
-            obj = json.loads(f.read().decode())
+            obj = json.loads(f.read().decode(), parse_constant=_not_a_number)
     except (OSError, UnicodeDecodeError) as e:  # caught before ValueError, its base class
         raise ParseError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:
-        # a JSONDecodeError, an integer too long to convert, or nesting too deep
+        # a JSONDecodeError, NaN or Infinity, an integer too long to convert, or nesting too deep
         raise ParseError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top-level value must be an object")

@@ -197,11 +197,9 @@ def max_leaves_packing(
 def _exact_guard(d: Digraph) -> None:
     if d.vertex_count <= EXACT_SMALL_N:
         return
-    in_adj, product = d.in_adj, 1
-    for v in range(d.vertex_count):
-        if v == d.root:
-            continue
-        product *= len(in_adj[v])
+    product = 1
+    for tails in d.in_adj:
+        product *= len(tails) or 1  # the root has no in-neighbor and no choice
         if product > EXACT_PRODUCT_LIMIT:
             raise TooLarge(
                 f"search space exceeds {EXACT_PRODUCT_LIMIT} parent functions"
@@ -249,15 +247,13 @@ def exact_max_leaves(d: Digraph, objective: str = "leaves") -> tuple[int, Branch
     total = sum(weight)
 
     in_adj = d.in_adj  # built on first use: read once, not per search node
-    order = [v for v in topological_order(d) if v != d.root]
-    choices = [v for v in order if len(in_adj[v]) > 1]
+    choices = [v for v in topological_order(d) if len(in_adj[v]) > 1]  # never the root
     # one bit per parent a choice can take, so a set of parents in use is an int
     bit = {p: 1 << b for b, p in enumerate(dict.fromkeys(p for v in choices for p in in_adj[v]))}
     options = [[(p, bit[p]) for p in in_adj[v]] for v in choices]
 
-    forced = {v: in_adj[v][0] for v in order if len(in_adj[v]) == 1}
-    parent: list[Optional[int]] = [forced.get(v) for v in range(n)]
-    fixed = set(forced.values())  # the parents in use before the search
+    parent: list[Optional[int]] = [tails[0] if len(tails) == 1 else None for tails in in_adj]
+    fixed = set(parent) - {None}  # the parents in use before the search
     base_cost, base_used = sum(weight[p] for p in fixed), sum(bit.get(p, 0) for p in fixed)
 
     masks = [sum(b for _, b in opts) for opts in options]

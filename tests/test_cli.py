@@ -367,6 +367,16 @@ MALFORMED_INSTANCES = {
         "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
     "v2-later-self-loop": ('"version":2,"n":3,"root":0,"out":[[1,9],[2],[2]]',
                            "arc (0, 9) is not a pair of distinct integer vertex ids in [0, 3)"),
+    # NaN and ±Infinity are not JSON numbers, so the read refuses them before
+    # any arc order counts; 1e999 is a number, read as inf, which is out of range
+    "v1-nan-head": ('"version":1,"n":3,"root":0,"arcs":[[0,NaN],[0,9],[0,1],[1,2]]',
+                    "invalid JSON: NaN is not a JSON number"),
+    "v1-nan-head-listed-second": ('"version":1,"n":3,"root":0,"arcs":[[0,9],[0,NaN],[0,1],[1,2]]',
+                                  "invalid JSON: NaN is not a JSON number"),
+    "v2-infinite-weight": ('"version":2,"n":2,"root":0,"out":[[1],[]],"weights":[0,Infinity]',
+                           "invalid JSON: Infinity is not a JSON number"),
+    "v1-overflowing-head": ('"version":1,"n":3,"root":0,"arcs":[[0,1e999],[0,1],[1,2]]',
+                            "arc (0, inf) is not a pair of distinct integer vertex ids in [0, 3)"),
     "v1-bad-tail": ('"version":1,"n":3,"root":0,"arcs":[[0,1],[9,0],[1,2]]',
                     "arc (9, 0) is not a pair of distinct integer vertex ids in [0, 3)"),
     "v1-too-few-arcs-and-weights": ('"version":1,"n":3,"root":0,"arcs":[[0,1]],"weights":7',
@@ -751,6 +761,17 @@ def test_malformed_solution_exits_3(tmp_path, capsys, version):
     assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 3
     err = capsys.readouterr().err
     assert err == f"error: {sol}: unsupported solution version {version!r:.40}\n"
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_constant_in_a_solution_exits_3(tmp_path, capsys, constant):
+    inst, sol, obj = solved(tmp_path, "maxleaves", n=12, p=0.3, seed=2)
+    obj["leaf_count"] = float(constant)
+    sol.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {sol}: invalid JSON: {constant} is not a JSON number\n"
 
 
 @pytest.mark.parametrize("change, line", [
