@@ -234,6 +234,6 @@ def build_digraph(
 def topological_order(d: Digraph) -> list[int]:
     """Topological order of ``d`` starting at the root (see ``Digraph.order``).
 
-    Not exported; it stays because ``attach`` and ``exact_max_leaves`` call it
-    and the benchmark tracer times those calls as ``solvers.topological_order``."""
+    Not exported; it stays because ``exact_max_leaves`` calls it and the
+    benchmark tracer times that call as ``graph.topological_order``."""
     return list(d.order)

@@ -61,7 +61,9 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     A random permutation fixes the topological order (position 0 becomes the
     root).  Every non-root vertex gets one mandatory in-arc from a uniformly
     random earlier vertex, which guarantees rootedness; every other forward
-    pair becomes an arc independently with ``extra_arc_probability``.
+    pair becomes an arc independently with ``extra_arc_probability``.  Each
+    head is filed under its tail as it is drawn, with no arc list, and the
+    sorted lists go to `Digraph` directly.
     """
     require_int("n", n, 1)
     if type(seed) is not int:
@@ -75,10 +77,10 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
     root = perm[0]
 
     tail = [0] * n  # tail[i]: position of the tail of i's mandatory in-arc
-    arcs: list[Arc] = []
+    out: list[list[int]] = [[] for _ in range(n)]
     for i in range(1, n):
         j = tail[i] = rng.randrange(i)
-        arcs.append((perm[j], perm[i]))
+        out[perm[j]].append(perm[i])
 
     if p > 0:
         # Batagelj & Brandes (2005): walk the forward pairs i < j in order,
@@ -98,9 +100,12 @@ def gen_random_rooted_dag(n: int, extra_arc_probability: float, seed: int) -> Di
                 i += 1
                 j -= n - i - 1
             if tail[j] != i:
-                arcs.append((perm[i], perm[j]))
+                out[perm[i]].append(perm[j])
 
-    return build_digraph(n, root, arcs)
+    del tail, perm  # freed before Digraph copies the lists
+    for heads in out:
+        heads.sort()
+    return Digraph(n, root, out)
 
 
 def gen_adversarial_family(k: int) -> Digraph:

@@ -74,7 +74,7 @@ def attach(f: Branching) -> Branching:
             for v in heads:
                 if parent[v] is None:
                     tails[v].append(u)
-        for v in topological_order(d):
+        for v in d.order:
             candidates = tails.get(v)
             if candidates:
                 pick = next((p for p in candidates if out_degree[p] > 0), candidates[0])
