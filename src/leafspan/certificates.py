@@ -180,7 +180,7 @@ class SolveReport:
             "algorithm": self.pipeline.name,
             "leaf_count": self.leaf_count,
             "certificate_ok": self.certificate_ok,
-            **{k: str(v) if isinstance(v, Fraction) else v for k, v in self.values.items()},
+            **{k: str(v) if type(v) is Fraction else v for k, v in self.values.items()},
         }
 
 

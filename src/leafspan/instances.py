@@ -10,7 +10,9 @@ with every head list strictly ascending.  `read_instance` hands them to
 ``"arcs": [[t, h], ...]`` in any order, are still read: `build_digraph`
 files their arcs under their tails, sorts them and calls the same
 validator.  Writers emit version 2 as one line of compact JSON with sorted
-keys, so they are byte-stable; readers take any layout.
+keys, so they are byte-stable; readers take any layout.  A file is read
+through one descriptor, with no file object, and the JSON decoder and
+encoder are built once per process.
 """
 
 from __future__ import annotations
@@ -194,20 +196,44 @@ def _write_in_place(path: PathLike, data: bytes) -> None:
         os.close(fd)
 
 
-def write_json_object(path: PathLike, obj: dict) -> None:
-    """Write ``obj`` as one line of compact JSON with sorted keys; see `read_json_object`."""
-    _write_in_place(path, (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode())
-
-
 def _not_a_number(name: str) -> float:
     raise ValueError(f"{name} is not a JSON number")
 
 
-def read_json_object(path: PathLike) -> dict:
-    """Read the UTF-8 JSON object in ``path``; unreadable or malformed content raises ParseError."""
+# built once per process, as `json.loads` keeps its default decoder
+_DECODER = json.JSONDecoder(parse_constant=_not_a_number)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def write_json_object(path: PathLike, obj: dict) -> None:
+    """Write ``obj`` as one line of compact JSON with sorted keys; see `read_json_object`."""
+    _write_in_place(path, (_ENCODER.encode(obj) + "\n").encode())
+
+
+def _read_all(path: PathLike) -> bytes:
+    """The bytes of ``path``: a regular file in one read sized by ``fstat``, with no
+    copy; a pipe, which reports size 0, in further 64 KiB reads."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        with open(path, "rb") as f:
-            obj = json.loads(f.read().decode(), parse_constant=_not_a_number)
+        chunks = [os.read(fd, os.fstat(fd).st_size + 1)]
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+
+
+def read_json_object(path: PathLike) -> dict:
+    """Read the UTF-8 JSON object in ``path``; unreadable or malformed content raises ParseError.
+
+    It is read through one descriptor and decoded by the module's one decoder.  A
+    directory opens, and the read's ``EISDIR`` names no file, so the line ends there.
+    """
+    try:
+        text = _read_all(path).decode()
+        if text.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except (OSError, UnicodeDecodeError) as e:  # caught before ValueError, its base class
         raise ParseError(f"cannot read {path}: {e}") from e
     except (ValueError, RecursionError) as e:

@@ -207,9 +207,37 @@ def test_writers_never_empty_a_file_before_rewriting_it(tmp_path, monkeypatch):
         sol, dot = solve_into(tmp_path, inst, "")
         assert run("bench", "--input-dir", str(indir), "--algos", "maxleaves",
                    "--csv", str(csv_path)) == 0
-    paths = [path for path, _ in opened]
+    # reads open through os.open too; count only the opens for writing
+    paths = [path for path, flags in opened if flags & (os.O_WRONLY | os.O_RDWR)]
     assert [paths.count(str(p)) for p in (inst, sol, dot, csv_path)] == [2, 2, 2, 2]
     assert not [path for path, flags in opened if flags & os.O_TRUNC]
+
+
+def test_a_solve_and_verify_round_builds_no_codec_and_opens_each_read_once(
+        tmp_path, monkeypatch):
+    inst = gen_random(tmp_path)
+    sol = tmp_path / "sol.json"
+    built, reads = [], []
+    os_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if not flags & (os.O_WRONLY | os.O_RDWR):
+            reads.append(os.fspath(path))
+        return os_open(path, flags, *args, **kwargs)
+
+    def counted(init):
+        def wrapper(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for codec in (json.JSONDecoder, json.JSONEncoder):
+        monkeypatch.setattr(codec, "__init__", counted(codec.__init__))
+    monkeypatch.setattr(os, "open", spy)
+    assert run("solve", "--algo", "maxleaves", "--input", str(inst), "--output", str(sol)) == 0
+    assert run("verify", "--instance", str(inst), "--solution", str(sol)) == 0
+    assert built == []
+    assert reads == [str(inst), str(inst), str(sol)]
 
 
 def test_tampered_solution_fails_verify(tmp_path, capsys):
@@ -527,6 +555,24 @@ def test_bench_rejects_unknown_algorithm(tmp_path, capsys):
     assert run("bench", "--input-dir", str(indir),
                "--algos", "maxleaves,bogus", "--csv", str(out)) == 2
     assert capsys.readouterr().err == "error: unknown algorithm 'bogus' in --algos\n"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="Linux opens a directory for reading")
+def test_a_directory_given_as_a_file_exits_3_with_one_line(tmp_path, capsys):
+    # os.read raises EISDIR, which names no file, so the line ends at the reason
+    inst = gen_random(tmp_path)
+    sol, _ = solve_into(tmp_path, inst, "")
+    directory, missing = tmp_path / "dir", tmp_path / "missing.json"
+    directory.mkdir()
+    capsys.readouterr()
+    for argv in (["solve", "--algo", "maxleaves", "--input", str(directory), "--output", str(sol)],
+                 ["verify", "--instance", str(directory), "--solution", str(sol)],
+                 ["verify", "--instance", str(inst), "--solution", str(directory)]):
+        assert run(*argv) == 3
+        assert capsys.readouterr().err == f"error: cannot read {directory}: [Errno 21] Is a directory\n"
+    assert run("verify", "--instance", str(inst), "--solution", str(missing)) == 3
+    assert capsys.readouterr().err == (
+        f"error: cannot read {missing}: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
 def test_bench_missing_directory_exits_3(tmp_path, capsys):

@@ -31,7 +31,7 @@ from leafspan import (
     write_instance,
 )
 from leafspan.cli import ALGORITHMS, main
-from leafspan.instances import _write_in_place, read_json_object, write_json_object
+from leafspan.instances import _read_all, _write_in_place, read_json_object, write_json_object
 from oracles import (
     brute_force_max_independent_set,
     digraph_arcs,
@@ -665,4 +665,57 @@ class TestWriteInPlace:
         with pytest.raises(OSError):
             _write_in_place(tmp_path / "out.bin", b"data")
         monkeypatch.undo()
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+class TestReadJsonObject:
+    def test_a_whole_first_read_is_returned_without_a_copy(self, tmp_path, monkeypatch):
+        os_read, returned = os.read, []
+
+        def spy(fd, size):
+            returned.append((size, os_read(fd, size)))
+            return returned[-1][1]
+
+        p = tmp_path / "inst.json"
+        write_instance(gen_random_rooted_dag(50, 0.1, 1), p)
+        monkeypatch.setattr(os, "read", spy)
+        data = _read_all(p)
+        monkeypatch.undo()
+        size = p.stat().st_size
+        assert [(s, len(b)) for s, b in returned] == [(size + 1, size), (65536, 0)]
+        assert data is returned[0][1]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="opens a pipe as /dev/fd/N")
+    def test_a_pipe_reads_the_same_graph_as_the_file(self, tmp_path):
+        # a pipe reports size 0 to fstat, so the read goes on past its first byte
+        p = tmp_path / "inst.json"
+        write_instance(gen_random_rooted_dag(800, 0.004, 1), p)
+        data = p.read_bytes()
+        assert 8_000 < len(data) < 16_000  # well under a 64 KiB pipe buffer
+        r, w = os.pipe()
+        try:
+            os.write(w, data)
+            os.close(w)
+            assert os.fstat(r).st_size == 0
+            assert graph_fields(read_instance(f"/dev/fd/{r}")) == graph_fields(read_instance(p))
+        finally:
+            os.close(r)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds in /proc")
+    def test_reads_leave_no_descriptor_open(self, tmp_path):
+        # a leaked raw fd raises no ResourceWarning, so count the open ones
+        good = tmp_path / "good.json"
+        write_instance(gen_random_rooted_dag(20, 0.2, 1), good)
+        bad = [tmp_path / "missing.json", tmp_path / "dir"]
+        bad[1].mkdir()
+        for name, body in [("latin-1", '{"p":"café"}'.encode("latin-1")),
+                           ("bom", '{"p":1}'.encode("utf-8-sig")),
+                           ("nan", b'{"p":NaN}'), ("list", b"[1]")]:
+            bad.append(tmp_path / f"{name}.json")
+            bad[-1].write_bytes(body)
+        before = sorted(os.listdir("/proc/self/fd"))
+        for i in range(200):
+            with pytest.raises(ParseError):
+                read_json_object(bad[i % len(bad)])
+            assert read_json_object(good)["version"] == 2
         assert sorted(os.listdir("/proc/self/fd")) == before
